@@ -1,12 +1,10 @@
 // Command bench runs the performance-critical benchmarks — the event-engine
 // micro-benchmarks (prebound vs closure vs the retired container/heap
-// baseline), the telemetry hot path (histogram record/merge/quantile and
-// the flight-recorder interval snapshot), the DRAM channel loop, and the
-// tsim end-to-end throughput, serial and domain-sharded — and emits one
-// machine-readable JSON artifact. BENCH_5.json in the repo root records the
-// PR 5 engine-rewrite numbers, BENCH_7.json the PR 7 telemetry numbers,
-// BENCH_8.json the PR 8 domain-scaling numbers and BENCH_10.json the
-// topology-cut co-run numbers; CI regenerates the artifact on every push
+// baseline), the telemetry hot path (histogram record/quantile and the
+// flight-recorder interval snapshot), the DRAM channel loop, and the tsim
+// end-to-end throughput, single-benchmark and 4-core co-run — and emits
+// one machine-readable JSON artifact. The BENCH_*.json files in the repo
+// root are earlier artifacts; CI regenerates the artifact on every push
 // and uploads it for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json
@@ -41,10 +39,10 @@ var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue|BenchmarkShardRoundTrip)$"},
-	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistMerge|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue)$"},
+	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
-	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimSharded|BenchmarkTimingSimCoRun)$"},
+	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimCoRun)$"},
 }
 
 type benchResult struct {
@@ -61,10 +59,7 @@ type artifact struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// CPUs is runtime.NumCPU at measurement time. The domain-sharding
-	// ratios are only comparable between artifacts recorded at the same
-	// CPU count: at NumCPU=1 the barrier rounds cannot overlap, so the
-	// sharded numbers price pure engine overhead.
+	// CPUs is runtime.NumCPU at measurement time.
 	CPUs       int           `json:"cpus"`
 	Count      int           `json:"count"`
 	Benchmarks []benchResult `json:"benchmarks"`
@@ -340,25 +335,5 @@ func derive(art *artifact) {
 	}
 	if legacy, mixed := mean("LegacyEngineMixedQueue"), mean("EngineMixedQueue"); legacy > 0 && mixed > 0 {
 		art.Derived["engine_mixed_speedup_vs_container_heap"] = legacy / mixed
-	}
-	// Domain scaling: sharded tsim throughput relative to the serial engine
-	// on the identical 4-channel scenario (results are byte-identical, so
-	// the ratio prices the engine alone).
-	serial := mean("TimingSimSharded/serial")
-	for _, d := range []string{"1", "2", "4"} {
-		if sharded := mean("TimingSimSharded/domains=" + d); serial > 0 && sharded > 0 {
-			art.Derived["tsim_"+d+"dom_speedup_vs_serial"] = serial / sharded
-		}
-	}
-	// Topology cut on the 4-core co-run: slice-group domains alone, and the
-	// widest cut with per-core L2 domains on top. Like the rows above, the
-	// ratio only shows parallel speedup when the host grants multiple CPUs.
-	if corun := mean("TimingSimCoRun/serial"); corun > 0 {
-		if sliced := mean("TimingSimCoRun/domains=4"); sliced > 0 {
-			art.Derived["tsim_corun_4dom_speedup_vs_serial"] = corun / sliced
-		}
-		if widest := mean("TimingSimCoRun/domains=8+cores"); widest > 0 {
-			art.Derived["tsim_corun_8dom_cores_speedup_vs_serial"] = corun / widest
-		}
 	}
 }

@@ -1,9 +1,9 @@
 // Command check runs the verification harness (internal/check): differential
-// fsim-vs-tsim/secmem comparisons, metamorphic configuration properties,
-// invariant-instrumented simulation runs and serial-vs-sharded engine parity
-// runs. It prints one line per check and exits non-zero if any fail.
+// fsim-vs-tsim/secmem comparisons, metamorphic configuration properties and
+// invariant-instrumented simulation runs. It prints one line per check and
+// exits non-zero if any fail.
 //
-// Every unit — all four pillars — owns its simulators, stats and invariant
+// Every unit — all three pillars — owns its simulators, stats and invariant
 // recorders outright, so the units fan out across -parallel goroutines
 // (default: GOMAXPROCS). Parallelism changes only the wall-clock time, never
 // the report.

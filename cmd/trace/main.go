@@ -57,11 +57,6 @@ func main() {
 	if err := config.ApplySystem(&cfg, *system); err != nil {
 		fatal(err)
 	}
-	// Declare the instrumentation this command attaches, so an
-	// incompatible engine selection (Domains > 0) fails config
-	// validation in New instead of erroring at attach time.
-	cfg.Tracing = true
-	cfg.FlightRecorder = *flight != ""
 	scale := workload.DefaultScale()
 	if *small {
 		scale = workload.TestScale()
@@ -107,15 +102,11 @@ func main() {
 		SamplePeriod: sim.NS(*periodNS),
 		Meta:         prov.Masked(manifest),
 	})
-	if err := s.SetTracer(tr); err != nil {
-		fatal(err)
-	}
+	s.SetTracer(tr)
 	var rec *metrics.Recorder
 	if *flight != "" {
 		rec = metrics.NewRecorder(s.Stats(), *flightCap)
-		if err := s.SetFlightRecorder(rec, sim.NS(*flightPeriodNS)); err != nil {
-			fatal(err)
-		}
+		s.SetFlightRecorder(rec, sim.NS(*flightPeriodNS))
 	}
 	res := s.Run()
 	if err := tr.Close(); err != nil {

@@ -32,6 +32,9 @@ const (
 	KindCounter
 	// KindTree is an integrity-tree node (level >= 1).
 	KindTree
+	// NumKinds is the number of block kinds: Kind values index
+	// [NumKinds]-sized tables.
+	NumKinds
 )
 
 // String implements fmt.Stringer.

@@ -14,9 +14,8 @@ import (
 // from the pinned 0-alloc hot paths. The hot set is:
 //
 //   - every prebound event callback: a function value registered through
-//     Engine/Domain AtCall/AfterCall/AtCallLate or delivered over
-//     Link.Send/SendLate (including registrations through interfaces a
-//     scheduler satisfies, like dram's sched seam);
+//     Engine.AtCall/AfterCall (including registrations through an
+//     interface the engine satisfies);
 //   - every bindHot method (the warm-Reset rebinding path measured inside
 //     the AllocsPerRun loops);
 //   - the pinned hotRootPins symbols (metrics.Hist.Observe).
@@ -53,6 +52,7 @@ var allocpinCold = map[string]string{
 	// empty, and the pins ramp to the high-water mark before measuring.
 	"(internal/tsim.core).getMiss":     "coreMiss pool refill; steady state recycles via putMiss",
 	"(internal/tsim.l2Ctl).getReq":     "readReq pool refill; steady state recycles via putReq",
+	"(internal/tsim.Sim).box":          "u64box pool refill; steady state recycles via unbox",
 	"(internal/obs.Tracer).StartReq":   "Req freelist refill; TestTracedWithHistogramsSteadyStateZeroAllocs ramps the pool first",
 	"(internal/obs.Tracer).bindHists":  "one-time lazy histogram-cell binding on the first aggregate",
 	"(internal/obs.laneAlloc).acquire": "lane slot map grows to its high-water mark, then slots are reused",
@@ -298,24 +298,29 @@ func isHotReg(g *CallGraph, via *types.Func) bool {
 }
 
 // isEventReg reports whether fn is a prebound-callback scheduling method:
-// the fn(any)+arg forms on Engine/Domain, or a Link send. The closure
-// forms (At/After/Every) are setup-time conveniences, not per-event
-// paths, and are deliberately not hot roots.
+// the fn(any)+arg forms on Engine. The closure forms (At/After/Every) are
+// setup-time conveniences, not per-event paths, and are deliberately not
+// hot roots.
 func isEventReg(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || !pathIs(fn.Pkg().Path(), "internal/sim") {
+	if fn == nil || fn.Pkg() == nil || !pathIs(fn.Pkg().Path(), "internal/sim") || receiverName(fn) != "Engine" {
 		return false
 	}
-	switch receiverName(fn) {
-	case "Engine", "Domain":
-		switch fn.Name() {
-		case "AtCall", "AfterCall", "AtCallLate":
-			return true
-		}
-	case "Link":
-		switch fn.Name() {
-		case "Send", "SendLate":
-			return true
-		}
+	return fn.Name() == "AtCall" || fn.Name() == "AfterCall"
+}
+
+// receiverName returns the named type of fn's receiver ("" for plain
+// functions and interface methods).
+func receiverName(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
 	}
-	return false
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }

@@ -36,44 +36,43 @@ func fixtureGraph(t *testing.T) *CallGraph {
 }
 
 // TestCallGraphCallbackEdge pins the prebound-callback edge shape: a
-// function passed to Domain.AtCall gets an EdgeCallback In edge from the
+// function passed to Engine.AtCall gets an EdgeCallback In edge from the
 // registering function, with Via naming the registration method.
 func TestCallGraphCallbackEdge(t *testing.T) {
 	g := fixtureGraph(t)
-	n := g.NodeByName("shardbad.tickCB")
+	n := g.NodeByName("allocbad.reqCB")
 	if n == nil {
-		t.Fatal("no node shardbad.tickCB")
+		t.Fatal("no node allocbad.reqCB")
 	}
 	found := false
 	for _, e := range n.In {
-		if e.Kind != EdgeCallback || e.Caller == nil || e.Caller.Name != "shardbad.Setup" || e.Via == nil {
+		if e.Kind != EdgeCallback || e.Caller == nil || e.Caller.Name != "allocbad.Setup" || e.Via == nil {
 			continue
 		}
-		if g.nodeName(e.Via) == "(internal/sim.Domain).AtCall" {
+		if g.nodeName(e.Via) == "(internal/sim.Engine).AtCall" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no EdgeCallback from shardbad.Setup into shardbad.tickCB via (internal/sim.Domain).AtCall")
+		t.Error("no EdgeCallback from allocbad.Setup into allocbad.reqCB via (internal/sim.Engine).AtCall")
 	}
 }
 
 // TestCallGraphInterfaceDispatch pins method-set dispatch through the
-// registration seam: bootCB is registered only via the local sched
-// interface, which a *sim.Domain satisfies, so shardRoots must include
-// it; the pinned hub-only dramFinishCB rides a Link but must be
-// excluded.
+// registration seam: seamCB is registered only via the local sched
+// interface, which a *sim.Engine satisfies, so hotRoots must include it;
+// the unregistered coldPath stays out.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	g := fixtureGraph(t)
 	roots := map[string]bool{}
-	for _, r := range shardRoots(g) {
+	for _, r := range hotRoots(g) {
 		roots[r.Name] = true
 	}
-	if !roots["shardbad.bootCB"] {
-		t.Errorf("shardRoots misses shardbad.bootCB (interface-seam registration); got %v", roots)
+	if !roots["allocgood.seamCB"] {
+		t.Errorf("hotRoots misses allocgood.seamCB (interface-seam registration); got %v", roots)
 	}
-	if roots["internal/dram.dramFinishCB"] {
-		t.Error("shardRoots includes the pinned hub-only internal/dram.dramFinishCB")
+	if roots["allocgood.coldPath"] {
+		t.Error("hotRoots includes the unregistered allocgood.coldPath")
 	}
 }
 
@@ -108,7 +107,7 @@ func TestCallGraphHotRoots(t *testing.T) {
 	for _, want := range []string{
 		"(internal/metrics.Hist).Observe", // hotRootPins entry
 		"allocbad.reqCB",                  // Engine.AtCall registration
-		"allocbad.closureCB",              // AtCallLate registration
+		"allocbad.chainCB",                // Engine.AtCall registration
 		"(allocgood.ctl).bindHot",         // .bindHot suffix
 	} {
 		if !roots[want] {

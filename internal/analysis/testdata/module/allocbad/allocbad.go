@@ -22,7 +22,7 @@ type payload struct {
 func Setup(e *sim.Engine) {
 	e.AtCall(0, reqCB, nil)
 	e.AfterCall(0, boxCB, nil)
-	e.AtCallLate(0, 0, chainCB, nil)
+	e.AtCall(0, chainCB, nil)
 	e.AtCall(0, closureCB, nil)
 	e.AtCall(0, statCB, nil)
 }

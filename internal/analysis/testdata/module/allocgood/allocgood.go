@@ -66,3 +66,19 @@ func lazyCB(x any) {
 func coldPath() {
 	sink = make([]int64, 4)
 }
+
+// sched is a local scheduling seam that *sim.Engine satisfies: a callback
+// registered through it is a hot root exactly like a direct AtCall.
+type sched interface {
+	AtCall(t sim.Time, fn func(any), arg any)
+}
+
+// SetupSeam registers seamCB through the interface seam.
+func SetupSeam(s sched) {
+	s.AtCall(0, seamCB, nil)
+}
+
+// seamCB bumps a counter through its argument: genuinely 0-alloc.
+func seamCB(x any) {
+	*x.(*int64)++
+}

@@ -15,18 +15,3 @@ func (t *Tracer) Enabled() bool { return t != nil }
 
 // Record is NOT nil-safe: it dereferences the receiver.
 func (t *Tracer) Record() { t.n++ }
-
-// Req mirrors the real per-request trace context; all its methods are
-// nil-safe by contract, so shardsafe rule (d) exempts them.
-type Req struct{ n int }
-
-// Mark is nil-safe, like every real Req method.
-func (r *Req) Mark() {
-	if r == nil {
-		return
-	}
-	r.n++
-}
-
-// Active is a package-level function: never exempt from rule (d).
-func Active() bool { return false }

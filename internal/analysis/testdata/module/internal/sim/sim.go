@@ -14,7 +14,7 @@ type scheduled struct {
 	arg any
 }
 
-// Engine is the hub scheduler.
+// Engine is the event scheduler.
 type Engine struct {
 	now Time
 	q   []scheduled
@@ -31,11 +31,6 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 	e.q = append(e.q, scheduled{t, fn, arg})
 }
 
-// AtCallLate schedules a prebound callback in the late class.
-func (e *Engine) AtCallLate(t Time, key int32, fn func(any), arg any) {
-	e.q = append(e.q, scheduled{t, fn, arg})
-}
-
 // After schedules a closure-form event relative to now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
@@ -44,37 +39,3 @@ func (e *Engine) AfterCall(d Time, fn func(any), arg any) { e.AtCall(e.now+d, fn
 
 // Every schedules a periodic closure.
 func (e *Engine) Every(period Time, fn func(now Time)) {}
-
-// Domain is one shard of the lookahead-synchronized engine.
-type Domain struct {
-	e *Engine
-}
-
-// At schedules a closure-form event on the domain.
-func (d *Domain) At(t Time, fn func()) { d.e.At(t, fn) }
-
-// AtCall schedules a prebound callback on the domain.
-func (d *Domain) AtCall(t Time, fn func(any), arg any) { d.e.AtCall(t, fn, arg) }
-
-// AtCallLate schedules a prebound late-class callback on the domain.
-func (d *Domain) AtCallLate(t Time, key int32, fn func(any), arg any) {
-	d.e.AtCallLate(t, key, fn, arg)
-}
-
-// AfterCall schedules a prebound callback relative to the domain clock.
-func (d *Domain) AfterCall(dt Time, fn func(any), arg any) { d.e.AfterCall(dt, fn, arg) }
-
-// Link is a cross-domain delivery seam.
-type Link struct {
-	q []scheduled
-}
-
-// Send delivers an ordinary-class event across the seam.
-func (l *Link) Send(at Time, fn func(any), arg any) {
-	l.q = append(l.q, scheduled{at, fn, arg})
-}
-
-// SendLate delivers a late-class (merge-ordered) event across the seam.
-func (l *Link) SendLate(at Time, key int32, fn func(any), arg any) {
-	l.q = append(l.q, scheduled{at, fn, arg})
-}

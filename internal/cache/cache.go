@@ -43,7 +43,7 @@ type Cache struct {
 	ways    int
 	lines   []line // sets*ways, set-major
 	stamp   uint64
-	kindCnt map[addr.Kind]int
+	kindCnt [addr.NumKinds]int
 
 	// ctrCapLines, when positive, caps how many lines may hold
 	// counter-kind blocks; inserting past the cap evicts the LRU
@@ -70,12 +70,11 @@ func New(name string, capacityBytes int64, ways int) *Cache {
 		panic(fmt.Sprintf("cache %s: zero sets", name))
 	}
 	return &Cache{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		lines:   make([]line, sets*uint64(ways)),
-		kindCnt: make(map[addr.Kind]int),
-		rec:     inv.Default(),
+		name:  name,
+		sets:  sets,
+		ways:  ways,
+		lines: make([]line, sets*uint64(ways)),
+		rec:   inv.Default(),
 	}
 }
 
@@ -86,12 +85,11 @@ func NewSets(name string, sets uint64, ways int) *Cache {
 		panic(fmt.Sprintf("cache %s: invalid geometry %d sets/%d-way", name, sets, ways))
 	}
 	return &Cache{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		lines:   make([]line, sets*uint64(ways)),
-		kindCnt: make(map[addr.Kind]int),
-		rec:     inv.Default(),
+		name:  name,
+		sets:  sets,
+		ways:  ways,
+		lines: make([]line, sets*uint64(ways)),
+		rec:   inv.Default(),
 	}
 }
 
@@ -261,7 +259,7 @@ func (c *Cache) checkSet(set []line, block uint64) {
 // O(capacity): the verification harness calls it after a run; it is not for
 // per-access use.
 func (c *Cache) CheckConsistency() error {
-	recount := make(map[addr.Kind]int)
+	var recount [addr.NumKinds]int
 	for s := uint64(0); s < c.sets; s++ {
 		set := c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
 		tags := make(map[uint64]int)
@@ -284,14 +282,9 @@ func (c *Cache) CheckConsistency() error {
 			}
 		}
 	}
-	for k, n := range recount {
-		if c.kindCnt[k] != n {
-			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, k, c.kindCnt[k], n)
-		}
-	}
 	for k, n := range c.kindCnt {
 		if n != recount[k] {
-			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, k, n, recount[k])
+			return fmt.Errorf("cache %s: kind %v ledger says %d lines, tag store holds %d", c.name, addr.Kind(k), n, recount[k])
 		}
 	}
 	if c.ctrCapLines > 0 && c.kindCnt[addr.KindCounter] > c.ctrCapLines {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,35 @@ func TestKindCounting(t *testing.T) {
 	c.Invalidate(1)
 	if c.KindCount(addr.KindCounter) != 0 {
 		t.Fatal("kind count wrong after invalidate")
+	}
+}
+
+// TestCheckConsistencyCatchesCorruptLedger: the full rescan accepts an
+// honest ledger and rejects one that drifted from the tag store in either
+// direction. With several kinds wrong at once the error names the first in
+// kind order, so the report is the same on every run.
+func TestCheckConsistencyCatchesCorruptLedger(t *testing.T) {
+	c := New("k", 1024, 4)
+	c.Insert(0, false, addr.KindData)
+	c.Insert(1, false, addr.KindCounter)
+	c.Insert(2, false, addr.KindTree)
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatalf("consistent cache rejected: %v", err)
+	}
+	c.kindCnt[addr.KindTree] += 2
+	c.kindCnt[addr.KindCounter]--
+	for i := 0; i < 20; i++ {
+		err := c.CheckConsistency()
+		if err == nil {
+			t.Fatal("corrupt ledger accepted")
+		}
+		if want := "cache k: kind counter ledger says 0 lines, tag store holds 1"; err.Error() != want {
+			t.Fatalf("error = %q, want %q", err, want)
+		}
+	}
+	c.kindCnt[addr.KindCounter]++
+	if err := c.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "kind tree ledger says 3 lines, tag store holds 1") {
+		t.Fatalf("over-counted tree ledger not reported: %v", err)
 	}
 }
 

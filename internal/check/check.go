@@ -13,11 +13,7 @@
 //     lose its own analytic timelines);
 //   - invariant runs execute both simulators with internal/inv enabled and
 //     require zero recorded violations plus post-run conservation between
-//     requested and performed DRAM fills;
-//   - shard-parity runs replay one trace on the serial event engine and on
-//     the domain-sharded engine (sim.Shard) across the differential config
-//     grid and require byte-identical stats snapshots at any domain and
-//     worker count.
+//     requested and performed DRAM fills.
 //
 // cmd/check runs everything and prints a report; `go test ./internal/check`
 // runs the same pillars plus deliberately-broken inputs proving each pillar
@@ -36,12 +32,11 @@ import (
 // Pillar labels which verification family a result belongs to.
 type Pillar string
 
-// The four pillars.
+// The three pillars.
 const (
 	PillarDifferential Pillar = "differential"
 	PillarMetamorphic  Pillar = "metamorphic"
 	PillarInvariant    Pillar = "invariant"
-	PillarShardParity  Pillar = "shard-parity"
 )
 
 // Result is one named check's outcome.
@@ -116,7 +111,6 @@ func Run(opt Options) []Result {
 	}
 	units := append(diffUnits(tr, opt), metamorphicUnits(opt)...)
 	units = append(units, invariantUnits(tr, opt)...)
-	units = append(units, shardParityUnits(tr, opt)...)
 	slots := make([][]Result, len(units))
 	workers := opt.Parallel
 	if workers < 1 {

@@ -104,32 +104,6 @@ func TestInvariantDetectsBrokenConfig(t *testing.T) {
 	}
 }
 
-// TestShardParityPasses runs the serial-vs-sharded engine comparison over
-// the full system grid and requires byte-identical snapshots everywhere.
-func TestShardParityPasses(t *testing.T) {
-	requireAllPass(t, ShardParity(quickOpt))
-}
-
-// TestShardParityDetectsDivergence proves the pillar can fail: a sharded
-// run under a genuinely different DRAM timing cannot produce the serial
-// run's snapshot, and the byte comparison must say so.
-func TestShardParityDetectsDivergence(t *testing.T) {
-	opt := quickOpt.withDefaults()
-	tr, err := recordTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := config.Default()
-	serial.Channels = 4
-	broken := serial
-	broken.Domains = 4
-	broken.TCL *= 2
-	rs := CompareShardRun("broken-tcl", &serial, &broken, tr, opt)
-	if failedNamed(rs, "broken-tcl") == 0 {
-		t.Fatalf("sharded run with doubled tCL not detected:\n%s", render(rs))
-	}
-}
-
 // TestConservationDetectsImbalance proves the conservation assertion fails
 // on unequal pairs.
 func TestConservationDetectsImbalance(t *testing.T) {
@@ -146,7 +120,7 @@ func TestRunAggregates(t *testing.T) {
 	for _, r := range rs {
 		pillars[r.Pillar] = true
 	}
-	for _, p := range []Pillar{PillarDifferential, PillarMetamorphic, PillarInvariant, PillarShardParity} {
+	for _, p := range []Pillar{PillarDifferential, PillarMetamorphic, PillarInvariant} {
 		if !pillars[p] {
 			t.Fatalf("pillar %s missing from Run output", p)
 		}

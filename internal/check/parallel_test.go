@@ -67,10 +67,7 @@ func TestTracingWithParallelCheckRace(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := s.SetTracer(tr); err != nil {
-			t.Error(err)
-			return
-		}
+		s.SetTracer(tr)
 		s.Run()
 		if err := tr.Close(); err != nil {
 			t.Error(err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
@@ -198,39 +197,6 @@ type Config struct {
 	MemoryBytes     int64    // simulated physical data capacity
 	OverflowMaxLive int      // <=2 outstanding split-counter overflows
 	OverflowSlots   int      // <=8 read/write-queue slots for overflow work
-
-	// --- Engine sharding (infrastructure, not a modelled parameter) ---
-	// Domains > 0 runs the timing simulator on the lookahead-synchronized
-	// sharded event engine with a topology-aware cut: the LLC slices are
-	// partitioned round-robin into that many slice-group domains, the DRAM
-	// channels into up to that many channel domains (clamped to Channels),
-	// and everything else (MC, metadata home, DRAM queues — plus cores and
-	// L2s unless ShardCores) stays on the hub engine. Link lookahead is
-	// derived from the mesh geometry (noc.Mesh.OneWay between member
-	// tiles), so Domains is bounded by the slice count of the configured
-	// mesh. 0 — the default — is the serial single-queue engine. Results
-	// are deterministic either way and byte-identical across worker counts
-	// at a fixed cut; tracing, the flight recorder and XPT (whose
-	// idealised predictor peeks at LLC state across the cut) require the
-	// serial engine.
-	Domains int
-	// ShardCores additionally re-homes each core+L2 tile into its own
-	// domain (requires Domains > 0), widening the parallel cut to the full
-	// mesh: core domains, slice-group domains, hub, channel domains.
-	ShardCores bool
-	// Tracing declares that the run will attach a per-request tracer
-	// (internal/obs). Trace spans and the periodic sampler read state
-	// owned by other domains mid-run, so tracing is serial-engine only:
-	// Validate rejects Tracing with Domains > 0, turning the conflict
-	// into a configuration error instead of a mid-setup failure.
-	Tracing bool
-	// FlightRecorder declares that the run will attach an interval flight
-	// recorder (metrics.Recorder). The recorder samples the shared stats
-	// set every period; under sharding, DRAM metrics accumulate in
-	// per-channel domain shards that only merge after the run, so mid-run
-	// samples would be silently wrong. Validate rejects it with
-	// Domains > 0 for the same reason as Tracing.
-	FlightRecorder bool
 }
 
 // Default returns the Table I configuration with Morphable Counters and
@@ -331,32 +297,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MemoryBytes must be positive")
 	case c.MeshCols < 2 || c.MeshRows < 2:
 		return fmt.Errorf("config: mesh must be at least 2x2, got %dx%d", c.MeshCols, c.MeshRows)
-	case c.Domains < 0:
-		return fmt.Errorf("config: Domains must be non-negative, got %d", c.Domains)
-	case c.Domains > 0 && c.BurstLatency <= 0:
-		return fmt.Errorf("config: Domains > 0 needs a positive BurstLatency for lookahead, got %v", c.BurstLatency)
-	case c.Domains > 0 && c.NoCBaseOneWay <= 0:
-		return fmt.Errorf("config: Domains > 0 needs a positive NoCBaseOneWay — the mesh-derived link distances must be positive for lookahead, got %v", c.NoCBaseOneWay)
-	case c.Domains > meshSlices(c):
-		// The domain cut is over tiles now, not DRAM channels: slice-group
-		// domains beyond the mesh's slice count would be empty.
-		return fmt.Errorf("config: Domains (%d) exceeds the %dx%d mesh's %d LLC slices", c.Domains, c.MeshCols, c.MeshRows, meshSlices(c))
-	case c.ShardCores && c.Domains <= 0:
-		return fmt.Errorf("config: ShardCores requires Domains > 0")
-	case c.Domains > 0 && c.XPT:
-		return fmt.Errorf("config: XPT requires the serial engine — the idealised predictor peeks at LLC state across the domain cut; set Domains = 0 (got %d) or drop XPT", c.Domains)
-	case c.Domains > 0 && c.Tracing:
-		return fmt.Errorf("config: tracing requires the serial engine — trace spans read cross-domain state mid-run; set Domains = 0 (got %d) or drop Tracing", c.Domains)
-	case c.Domains > 0 && c.FlightRecorder:
-		return fmt.Errorf("config: the flight recorder requires the serial engine — mid-run samples of domain-sharded DRAM metrics would be silently wrong; set Domains = 0 (got %d) or drop FlightRecorder", c.Domains)
 	}
 	return nil
-}
-
-// meshSlices reports how many LLC slices the configured mesh carries (its
-// core tiles) — the topology-derived upper bound for Domains.
-func meshSlices(c *Config) int {
-	return noc.New(c.MeshCols, c.MeshRows, c.NoCHopLatency, c.NoCBaseOneWay).CoreTiles()
 }
 
 // In-SRAM AES geometry (CtrInSRAM). One AES array handles a 16 B lane per

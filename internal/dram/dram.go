@@ -99,23 +99,8 @@ type DRAM struct {
 	mapper *addr.DRAMMapper
 	cfg    dramTiming
 	chans  []*channel
-	// sharded is set by Shard: channels then live in sim.Domains and the
-	// hub side talks to them only through lookahead links.
-	sharded bool
-	// freeReq pools Requests handed out by NewRequest. Allocation and
-	// recycling stay hub-side even when sharded (completions are delivered
-	// back to the hub before recycling), so a plain freelist suffices and
-	// stays deterministic.
+	// freeReq pools Requests handed out by NewRequest.
 	freeReq *Request
-}
-
-// sched is the scheduling seam a channel runs against: the device engine
-// in the monolithic configuration, the channel's sim.Domain when sharded.
-// Both satisfy it with pointer receivers bound once at construction, so
-// the indirection allocates nothing on the event path.
-type sched interface {
-	Now() sim.Time
-	AtCallLate(t sim.Time, key int32, fn func(any), arg any)
 }
 
 type dramTiming struct {
@@ -191,10 +176,9 @@ func (d *DRAM) Recycle(r *Request) {
 
 // QueuePressure reports the read-slot fill fraction of the block's home
 // channel — the MC's overflow engine uses it to throttle re-encryption
-// work (Sec. V) and the hierarchy uses it for backpressure. Both engines
-// judge pressure by the outstanding-request count (accepted, not yet
-// finished on the pins), which is a pure function of enqueue and finish
-// events and therefore identical serial and sharded.
+// work (Sec. V) and the hierarchy uses it for backpressure. Pressure is
+// judged by the outstanding-request count (accepted, not yet finished on
+// the pins).
 func (d *DRAM) QueuePressure(block uint64) float64 {
 	ch := d.chans[d.mapper.Map(block).Channel]
 	return float64(ch.occ[0]) / float64(d.cfg.readCap)
@@ -206,11 +190,7 @@ func (d *DRAM) QueuePressure(block uint64) float64 {
 //
 // Admission is judged against the channel's outstanding-request count: a
 // slot is taken here and released by the finish event when the access
-// completes on the pins. That count evolves identically in the serial and
-// sharded engines (both see the same enqueue and finish instants), so
-// admission decisions — including at the capacity boundary — are engine-
-// independent. In sharded mode the accepted request is handed to the
-// channel's domain over the zero-latency arrival link.
+// completes on the pins.
 func (d *DRAM) Enqueue(r *Request) bool {
 	loc := d.mapper.Map(r.Block)
 	ch := d.chans[loc.Channel]
@@ -224,49 +204,19 @@ func (d *DRAM) Enqueue(r *Request) bool {
 	}
 	ch.occ[dir]++
 	r.dst = ch
-	// The queue append is deferred to a late-class arrival event keyed
-	// above the channel's finish and kick keys. Enqueue's callers span
-	// both event classes (ordinary retries, late-keyed seam deliveries),
-	// so appending synchronously would make a same-instant schedule
-	// pass's view of the queue depend on the caller's class — which the
-	// cross-domain arrival link cannot reproduce. A fixed (time, key)
-	// position for every arrival keeps the serial and sharded schedules
-	// byte-identical regardless of who enqueues.
-	if ch.dom != nil {
-		ch.in.SendLate(d.eng.Now(), ch.arrivalKey(), dramArriveCB, r)
-		return true
-	}
-	ch.es.AtCallLate(d.eng.Now(), ch.arrivalKey(), dramArriveCB, r)
-	return true
-}
-
-// arrivalKey is the late-class tie key of the channel's deferred queue
-// appends: after its finish events (key id) and scheduler passes (key
-// channels+id) at the same instant. The whole DRAM key range stays below
-// the tsim seam key space (see tsim's seamKeyBase).
-func (ch *channel) arrivalKey() int32 { return int32(2*len(ch.d.chans) + ch.id) }
-
-// dramArriveCB runs in the channel's scheduling context when an accepted
-// request's arrival event fires: the deferred half of Enqueue.
-func dramArriveCB(x any) {
-	r := x.(*Request)
-	ch := r.dst
-	r.enqueued = ch.es.Now()
+	r.enqueued = d.eng.Now()
 	if r.Write {
 		ch.writeQ = append(ch.writeQ, r)
 	} else {
 		ch.readQ = append(ch.readQ, r)
 	}
 	ch.kick()
+	return true
 }
 
-// dramFinishCB runs hub-side when an access completes on the pins: it
-// releases the request's channel slot, recycles pooled requests (the
-// freelist is hub-owned), and delivers Done. It is scheduled in the late
-// class keyed by channel id in both engines — an explicit (time, key)
-// position instead of scheduling history — which is what lets the
-// barrier-synchronized sharded run reproduce the serial event order
-// exactly. Pooled requests recycle before Done runs, so the callback may
+// dramFinishCB runs when an access completes on the pins: it releases the
+// request's channel slot, recycles pooled requests, and delivers Done.
+// Pooled requests recycle before Done runs, so the callback may
 // immediately re-enqueue.
 func dramFinishCB(x any) {
 	r := x.(*Request)
@@ -316,69 +266,12 @@ func (d *DRAM) BusyFraction(since, now sim.Time) map[TrafficKind]float64 {
 	return out
 }
 
-// Shard moves the device's channels off the hub engine into `domains`
-// partitions of sh, assigned round-robin. Each domain gets one arrival
-// link (hub → domain, zero latency: Enqueue hands off within the same
-// picosecond) and one completion link (domain → hub, one burst of
-// lookahead: the earliest a just-issued request can have any hub-visible
-// effect). Channels in a domain share its links and record into private
-// stats shards; call MergeShardStats once the run drains. Call between
-// New and sh.Finalize, before any traffic.
-func (d *DRAM) Shard(sh *sim.Shard, domains int) {
-	if domains < 1 {
-		domains = 1
-	}
-	if domains > len(d.chans) {
-		domains = len(d.chans)
-	}
-	hub := sh.Hub()
-	d.sharded = true
-	doms := make([]*sim.Domain, domains)
-	ins := make([]*sim.Link, domains)
-	outs := make([]*sim.Link, domains)
-	for i := range doms {
-		doms[i] = sh.AddDomain(fmt.Sprintf("dram%d", i))
-		ins[i] = sh.Connect(hub, doms[i], 0)
-		outs[i] = sh.Connect(doms[i], hub, d.cfg.burst)
-	}
-	for i, ch := range d.chans {
-		g := i % domains
-		ch.dom, ch.in, ch.out = doms[g], ins[g], outs[g]
-		ch.es = doms[g]
-		ch.st = stats.NewSet()
-	}
-}
-
-// MergeShardStats folds every channel's private stats shard into the
-// device's shared set, in channel order. With whole-nanosecond queue
-// delays the accumulator float sums are exact, so the merged totals are
-// byte-identical to the monolithic device recording the same accesses.
-func (d *DRAM) MergeShardStats() {
-	if !d.sharded {
-		return
-	}
-	for _, ch := range d.chans {
-		d.st.Merge(ch.st)
-	}
-}
-
 // channel owns one data bus and a bank array.
 type channel struct {
 	d  *DRAM
 	id int
-	// es is the channel's scheduler: the device engine in the monolithic
-	// configuration, the channel's domain when sharded.
-	es sched
-	// st is the stats set issue() records into: the device's shared set
-	// monolithically, a private shard set when the channel lives in a
-	// domain (folded back in channel order by MergeShardStats).
-	st *stats.Set
-	// dom/in/out wire a sharded channel to its domain and the hub.
-	dom *sim.Domain
-	in  *sim.Link // hub → domain: request arrivals (zero latency)
-	out *sim.Link // domain → hub: credits and completions (burst latency)
-	// occ is the hub-side occupancy mirror ([read, write]) that Enqueue
-	// admits against in sharded mode.
+	// occ counts accepted requests not yet finished on the pins ([read,
+	// write]); Enqueue admits against it.
 	occ     [2]int
 	banks   []bank
 	readQ   []*Request
@@ -411,7 +304,7 @@ type chanStats struct {
 }
 
 func (ch *channel) bindHot() {
-	st := ch.st
+	st := ch.d.st
 	ch.hs.rowHit = st.CounterRef(stats.DramRowHit)
 	ch.hs.rowClosed = st.CounterRef(stats.DramRowClosed)
 	ch.hs.rowConflict = st.CounterRef(stats.DramRowConflict)
@@ -437,8 +330,6 @@ func newChannel(d *DRAM, id, banks int) *channel {
 	return &channel{
 		d:           d,
 		id:          id,
-		es:          d.eng,
-		st:          d.st,
 		banks:       make([]bank, banks),
 		nextRefresh: d.cfg.tREFI,
 		streakBank:  -1,
@@ -446,24 +337,17 @@ func newChannel(d *DRAM, id, banks int) *channel {
 }
 
 // kick ensures a scheduling pass is queued at time `at` (or now).
-func (ch *channel) kick() { ch.kickAt(ch.es.Now()) }
+func (ch *channel) kick() { ch.kickAt(ch.d.eng.Now()) }
 
 func (ch *channel) kickAt(at sim.Time) {
 	if ch.pending {
 		return
 	}
 	ch.pending = true
-	if now := ch.es.Now(); at < now {
+	if now := ch.d.eng.Now(); at < now {
 		at = now
 	}
-	// The scheduler pass runs in the late class so it observes a
-	// timestamp's complete arrival state: its decisions then do not depend
-	// on how enqueues at the same instant interleaved with the kick — the
-	// property that keeps serial and sharded runs identical. Keys above the
-	// channel range put kicks after every same-time finish (whose Done may
-	// re-enqueue), mirroring the sharded engine where hub finishes always
-	// complete before a domain's events at the same timestamp run.
-	ch.es.AtCallLate(at, int32(len(ch.d.chans)+ch.id), channelScheduleCB, ch)
+	ch.d.eng.AtCall(at, channelScheduleCB, ch)
 }
 
 // channelScheduleCB is the prebound form of channel.schedule: taking the
@@ -476,7 +360,7 @@ func channelScheduleCB(x any) { x.(*channel).schedule() }
 // peak bandwidth.
 func (ch *channel) schedule() {
 	ch.pending = false
-	now := ch.es.Now()
+	now := ch.d.eng.Now()
 	// Lazy refresh: when the refresh deadline has passed, stall the
 	// whole channel for tRFC.
 	if now >= ch.nextRefresh {
@@ -552,7 +436,7 @@ func (ch *channel) pickQueue() *[]*Request {
 // ready row hit, unless that bank's hit streak exceeded the cap; otherwise
 // the oldest ready request. ready=false when every request's bank is busy.
 func (ch *channel) pickRequest(q []*Request) (int, bool) {
-	now := ch.es.Now()
+	now := ch.d.eng.Now()
 	oldest := -1
 	for i, r := range q {
 		loc := ch.d.mapper.Map(r.Block)
@@ -582,7 +466,7 @@ func (ch *channel) issue(r *Request) {
 	if !ch.hs.bound {
 		ch.bindHot()
 	}
-	now := ch.es.Now()
+	now := ch.d.eng.Now()
 	loc := ch.d.mapper.Map(r.Block)
 	bankID := ch.d.mapper.BankID(loc)
 	b := &ch.banks[bankID]
@@ -643,9 +527,7 @@ func (ch *channel) issue(r *Request) {
 		dir = 1
 	}
 	// Whole-nanosecond queue delays keep accumulator sums exact in
-	// float64 (integer-valued additions are associative), so per-channel
-	// shard sets merge to byte-identical totals regardless of how issue
-	// order interleaved across channels.
+	// float64 (integer-valued additions are associative).
 	qdelay := float64(int64(start-r.enqueued) / 1000)
 	ch.hs.qdelay[r.Kind][dir].Observe(qdelay)
 	// Per-request delay distribution (shared internal/metrics geometry)
@@ -656,14 +538,8 @@ func (ch *channel) issue(r *Request) {
 	r.Obs.AddSpan(obs.SegDRAMQueue, r.enqueued, start)
 	r.Obs.AddSpan(obs.SegDRAMService, start, finish)
 
-	// One finish event per access, hub-side, late class keyed by channel:
-	// it releases the channel slot, recycles, and delivers Done. finish is
-	// always > now + burst (access latency precedes the burst), so the
-	// completion link's one-burst lookahead is respected.
+	// One finish event per access: it releases the channel slot,
+	// recycles, and delivers Done.
 	r.finishAt = finish
-	if ch.dom != nil {
-		ch.out.SendLate(finish, int32(ch.id), dramFinishCB, r)
-		return
-	}
-	ch.es.AtCallLate(finish, int32(ch.id), dramFinishCB, r)
+	ch.d.eng.AtCall(finish, dramFinishCB, r)
 }

@@ -50,8 +50,8 @@ const maxRecorded = 256
 
 // Recorder holds the invariant-checking state for one run. The zero value
 // is ready to use (checking disabled, nothing recorded). A Recorder is safe
-// for concurrent use: the sharded engine's domains share their run's
-// recorder across worker goroutines.
+// for concurrent use: every run that binds no recorder of its own shares
+// the process-wide default.
 type Recorder struct {
 	enabled atomic.Bool
 	total   atomic.Int64

@@ -135,20 +135,6 @@ func (h *Hist) Quantile(q float64) int64 {
 	return quantile(h.count, h.max, h.buckets[:], q)
 }
 
-// Merge folds o into h element-wise: counts and sums add, the maxima
-// combine. Merging shard histograms is exactly equivalent to observing the
-// union stream into one histogram (the property test pins this).
-func (h *Hist) Merge(o *Hist) {
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
 // Reset clears the histogram in place.
 func (h *Hist) Reset() { *h = Hist{} }
 
@@ -249,8 +235,7 @@ func (h *Hist) AppendBinary(b []byte) []byte {
 // DecodeHist parses a binary-encoded histogram, validating every internal
 // invariant: well-formed varints with no trailing garbage, bucket counts
 // that sum to the sample count, a maximum that is consistent with the
-// populated buckets, and canonical trimming. Merging decoded histograms
-// is therefore always safe.
+// populated buckets, and canonical trimming.
 func DecodeHist(b []byte) (*Hist, error) {
 	if len(b) == 0 || b[0] != histCodecVersion {
 		return nil, fmt.Errorf("metrics: bad histogram version")

@@ -111,43 +111,6 @@ func TestNegativeObserveClamps(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsUnsharded is the sharding property: observing a stream
-// into K shard histograms and merging them is identical — bucket for
-// bucket, and on every derived statistic — to observing the whole stream
-// into one histogram.
-func TestMergeEqualsUnsharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const shards = 5
-	var whole Hist
-	var parts [shards]Hist
-	for i := 0; i < 20_000; i++ {
-		// Mix of regimes: exact range, mid log range, clamp range.
-		var v int64
-		switch rng.Intn(3) {
-		case 0:
-			v = rng.Int63n(32)
-		case 1:
-			v = rng.Int63n(1 << 20)
-		default:
-			v = histCeiling + rng.Int63n(1<<30)
-		}
-		whole.Observe(v)
-		parts[rng.Intn(shards)].Observe(v)
-	}
-	var merged Hist
-	for i := range parts {
-		merged.Merge(&parts[i])
-	}
-	if merged != whole {
-		t.Fatalf("merged shards differ from unsharded:\nmerged %+v\nwhole  %+v", merged.Snapshot(), whole.Snapshot())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
-		if merged.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("q=%g differs after merge", q)
-		}
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -229,11 +192,6 @@ func TestObserveAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); allocs != 0 {
 		t.Fatalf("Observe allocates %v per call, want 0", allocs)
 	}
-	var o Hist
-	o.Observe(7)
-	if allocs := testing.AllocsPerRun(1000, func() { h.Merge(&o) }); allocs != 0 {
-		t.Fatalf("Merge allocates %v per call, want 0", allocs)
-	}
 }
 
 func BenchmarkHistObserve(b *testing.B) {
@@ -241,17 +199,6 @@ func BenchmarkHistObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) & 0xfffff)
-	}
-}
-
-func BenchmarkHistMerge(b *testing.B) {
-	var h, o Hist
-	for i := int64(0); i < 1000; i++ {
-		o.Observe(i * 31)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Merge(&o)
 	}
 }
 

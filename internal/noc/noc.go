@@ -102,22 +102,6 @@ func (m *Mesh) OneWay(a, b NodeID) sim.Time {
 // RoundTrip reports a -> b -> a latency.
 func (m *Mesh) RoundTrip(a, b NodeID) sim.Time { return 2 * m.OneWay(a, b) }
 
-// MinOneWay reports the smallest one-way latency from any tile in src to
-// any tile in dst: the conservative static lookahead between two tile
-// groups — every message between members takes at least this long, so the
-// sharded engine may use it as a link distance.
-func (m *Mesh) MinOneWay(src, dst []NodeID) sim.Time {
-	best := sim.Time(1 << 62)
-	for _, a := range src {
-		for _, b := range dst {
-			if d := m.OneWay(a, b); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // MeanOneWay reports the average one-way latency from a given tile to all
 // core tiles (used to calibrate against the paper's 7.5 ns figure).
 func (m *Mesh) MeanOneWay(from NodeID) sim.Time {

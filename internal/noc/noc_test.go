@@ -141,9 +141,9 @@ func TestTooSmallMeshPanics(t *testing.T) {
 
 // Non-square geometries (cols != rows in both orientations, including the
 // degenerate two-row and two-column shapes). The routing and placement
-// invariants below must hold regardless of aspect ratio — the sharded
-// engine derives its lookahead from these distances, so an asymmetry or an
-// off-mesh route on a skinny mesh would silently corrupt the domain cut.
+// invariants below must hold regardless of aspect ratio — every modeled
+// message delay derives from these distances, so an asymmetry or an
+// off-mesh route on a skinny mesh would silently skew the timing.
 var nonSquareMeshes = []struct{ cols, rows int }{
 	{8, 3}, {3, 8}, {7, 2}, {2, 7}, {9, 4},
 }

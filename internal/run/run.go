@@ -107,11 +107,6 @@ func (s *Scenario) NewTiming() (*tsim.Sim, error) {
 		return nil, fmt.Errorf("run: NewTiming on %s scenario", s.Mode)
 	}
 	cfg := s.Config
-	if s.Trace {
-		// Declare the tracer Execute will attach, so a Domains > 0
-		// scenario fails config validation here rather than at attach.
-		cfg.Tracing = true
-	}
 	return tsim.New(&cfg, tsim.Options{
 		Benchmark: s.Benchmark, Seed: s.Seed, Refs: s.Refs, Warmup: s.Warmup,
 		Cores: s.Cores, Scale: s.Scale,
@@ -138,9 +133,7 @@ func (s *Scenario) Execute() (*Outcome, error) {
 		if s.Trace {
 			// Sink the tracer into the run's own stats set so the outcome
 			// snapshot carries the obs histograms alongside everything else.
-			if err := ts.SetTracer(obs.New(obs.Options{Stats: ts.Stats()})); err != nil {
-				return nil, err
-			}
+			ts.SetTracer(obs.New(obs.Options{Stats: ts.Stats()}))
 		}
 		res := ts.Run()
 		return &Outcome{Stats: ts.Stats().Snapshot(), Timing: &res}, nil

@@ -1,57 +1,37 @@
 package sim
 
 // This file is the engine's event queue: a monomorphic four-ary min-heap
-// ordered by (time, priority class, key, seq) operating directly on an
-// []event. It replaces the original container/heap binary heap, which paid
-// an interface-boxing allocation on every Push(x interface{}) plus dynamic
-// dispatch for every Less/Swap. The four-ary layout was chosen by
-// benchmark (see DESIGN.md §11 and BENCH_5.json): sift-down does ~half the
-// levels of a binary heap, the four children share a cache line pair, and
-// the monomorphic sift loops inline — together better than 2x on the
-// engine tick benchmark.
+// ordered by (time, seq) operating directly on an []event. It replaces the
+// original container/heap binary heap, which paid an interface-boxing
+// allocation on every Push(x interface{}) plus dynamic dispatch for every
+// Less/Swap. The four-ary layout was chosen by benchmark (see DESIGN.md
+// §11 and BENCH_5.json): sift-down does ~half the levels of a binary heap,
+// the four children share a cache line pair, and the monomorphic sift
+// loops inline — together better than 2x on the engine tick benchmark.
 //
-// The order is total and strict, so pop order does not depend on heap
-// shape. Ordinary events (pri 0, key 0) pop in exactly the old heap's
-// order: FIFO among equal timestamps, carried by seq alone — the parity
-// test in queue_test.go pins this against a container/heap reference.
-// Late-class events (AtCallLate) sort after them; see the event type.
+// The (time, seq) order is total and strict, so the heap's pop order is
+// exactly the old heap's pop order: FIFO among equal timestamps is carried
+// by seq alone and does not depend on heap shape. The parity test in
+// queue_test.go pins this against a container/heap reference.
 
 // event is one scheduled callback. Exactly one of fn and call is set: fn
 // is the At/After closure form; call+arg is the allocation-free prebound
 // form (AtCall/AfterCall) — with a package-level (or otherwise prebound)
 // func and a pointer-typed arg, scheduling allocates nothing.
-//
-// pri and key exist for the sharded engine's equivalence guarantee.
-// Ordinary events carry pri 0 / key 0 and order exactly as before — by
-// (at, seq). Late-class events (pri 1, scheduled with AtCallLate) sort
-// after every ordinary event at the same timestamp, ordered among
-// themselves by an explicit caller-chosen key instead of scheduling
-// history. Cross-domain effects use the late class in both the serial
-// and the sharded engine, which makes their position in the global order
-// a pure function of (time, key) — the property that lets a barrier-
-// synchronized run reproduce the serial run byte-for-byte.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break so equal-time events run in schedule order
-	pri  uint8  // 0 ordinary, 1 late (end of timestamp)
-	key  int32  // tie-break among late events at one timestamp
 	fn   func()
 	call func(any)
 	arg  any
 }
 
-// before reports whether a orders strictly before b. (at, pri, key, seq)
-// is a total strict order: seq is unique per engine, so two distinct
-// events never compare equal and pop order is independent of heap shape.
+// before reports whether a orders strictly before b. (at, seq) is a total
+// strict order: seq is unique per engine, so two distinct events never
+// compare equal and pop order is independent of heap shape.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	if a.key != b.key {
-		return a.key < b.key
 	}
 	return a.seq < b.seq
 }

@@ -107,21 +107,6 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 	e.q.push(event{at: t, seq: e.seq, call: fn, arg: arg})
 }
 
-// AtCallLate schedules fn(arg) in the late class at absolute time t: it
-// runs after every ordinary event with the same timestamp, ordered among
-// same-time late events by key (then schedule order). Component seams
-// that must see a timestamp's complete state — the DRAM scheduler pass,
-// cross-domain completions — use this in both the serial and sharded
-// engines, so their global position depends only on (t, key), not on
-// when they happened to be scheduled. Scheduling in the past panics.
-func (e *Engine) AtCallLate(t Time, key int32, fn func(any), arg any) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, pri: 1, key: key, call: fn, arg: arg})
-}
-
 // After schedules fn to run d picoseconds from now. Negative delays panic.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 

@@ -91,7 +91,7 @@ func runMallocs(t *testing.T, mutate func(*config.Config)) uint64 {
 func TestCounterFreeModesAddNoAllocsOverBaseline(t *testing.T) {
 	ns := runMallocs(t, func(c *config.Config) { c.Counter = config.CtrNone; c.CountersInLLC = false; smallLLC(c) })
 	// 2% relative plus a small absolute term: with pooled requests and
-	// seam payloads the whole-run counts are a few hundred, and the cipher
+	// boxed message payloads the whole-run counts are a few hundred, and the cipher
 	// designs' longer fill latency legitimately grows the freelist
 	// high-water marks by a handful of entries.
 	allow := ns + ns/50 + 16
@@ -124,9 +124,7 @@ func TestTracedWithHistogramsSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetTracer(obs.New(obs.Options{Stats: s.Stats()})); err != nil {
-		t.Fatal(err)
-	}
+	s.SetTracer(obs.New(obs.Options{Stats: s.Stats()}))
 	s.warm(s.opt.Warmup)
 	s.bindHot()
 	for _, c := range s.cpus {

@@ -14,25 +14,17 @@ import (
 // llcSlice is one LLC slice: a real tag-store shard on its own mesh tile,
 // holding its share of the total sets (cache.SplitSets — the same split
 // fsim uses, so the functional and timing LLC contents stay comparable).
-// Under the sharded engine slice j executes in domain j mod Domains; on
-// the serial engine all slices share the engine, but the message seams are
-// identical (see topo.go). A miss pays only the tag lookup while a hit
-// pays tag + data, the 'L' effect of Fig 13.
+// A miss pays only the tag lookup while a hit pays tag + data, the 'L'
+// effect of Fig 13.
 type llcSlice struct {
 	s    *Sim
 	idx  int
 	tile noc.NodeID
-	dom  *sim.Domain // nil on the serial engine / hub
-	es   sched
-	st   *stats.Set
 	c    *cache.Cache
 
 	tagLat     sim.Time
 	dataLat    sim.Time
 	payloadPen sim.Time // 'M' of Fig 13: transmitting counter payloads
-
-	toCore []port // responses, counter deliveries, miss notes
-	toHub  port   // LLC misses, counter misses, victim writebacks, probe replies
 
 	// Prebound handlers for packed-payload messages arriving at this
 	// slice (bound once at construction; see the handle* methods).
@@ -42,22 +34,17 @@ type llcSlice struct {
 }
 
 // buildSlices constructs every LLC slice. The slice count is the mesh's
-// core-tile count — a property of the geometry, never of Domains, so a
-// sharded run models exactly the machine the serial run does.
+// core-tile count.
 func (s *Sim) buildSlices() {
 	n := s.mesh.CoreTiles()
 	totalSets := uint64(s.cfg.L3Bytes/addr.BlockBytes) / uint64(s.cfg.L3Ways)
 	split := cache.SplitSets(totalSets, n)
 	s.slices = make([]*llcSlice, n)
 	for j := 0; j < n; j++ {
-		d := s.sliceDom(j)
 		g := &llcSlice{
 			s:          s,
 			idx:        j,
 			tile:       s.mesh.CoreTile(j),
-			dom:        d,
-			es:         s.domES(d),
-			st:         s.sliceStats(j),
 			c:          cache.NewSets(fmt.Sprintf("llc.%d", j), split[j], s.cfg.L3Ways),
 			tagLat:     s.cfg.L3TagLatency,
 			dataLat:    s.cfg.L3DataLatency,
@@ -74,31 +61,28 @@ func (s *Sim) buildSlices() {
 // dataAccess serves an L2 data miss arriving at its home slice.
 func (g *llcSlice) dataAccess(req *readReq) {
 	s := g.s
-	t := g.es.Now()
-	g.st.Inc(stats.TsimLLCDataAccess)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimLLCDataAccess)
 	if g.c.Lookup(req.block) {
 		// On-chip data is already decrypted and verified.
 		req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat+g.dataLat)
 		arr := t + g.tagLat + g.dataLat + s.oneway(g.tile, req.l2.tile)
 		req.tr.AddSpan(obs.SegNoCResp, t+g.tagLat+g.dataLat, arr)
-		req.holdReq()
-		g.toCore[req.l2.id].send(arr, completePlainLocalCB, req)
+		s.schedReq(arr, completePlainLocalCB, req)
 		return
 	}
-	g.st.Inc(stats.TsimLLCDataMiss)
+	s.st.Inc(stats.TsimLLCDataMiss)
 	req.tr.MarkLLCMiss()
 	req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat)
 	if s.cfg.EMCC && s.secure() {
 		// Tell the requesting L2 its data access missed here: the miss
 		// note marks the L2's counter copy useful (Fig 11) and sets the
 		// request's llcMissed bit — state only the owning L2 may touch.
-		req.holdReq()
-		g.toCore[req.l2.id].send(t+g.tagLat+s.oneway(g.tile, req.l2.tile), llcMissNoteCB, req)
+		s.schedReq(t+g.tagLat+s.oneway(g.tile, req.l2.tile), llcMissNoteCB, req)
 	}
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(req.block))
 	req.tr.AddSpan(obs.SegNoCToMC, t+g.tagLat, t+g.tagLat+s.oneway(g.tile, mcTile))
-	req.holdReq()
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), mcDataReadConfCB, req)
+	s.schedReq(t+g.tagLat+s.oneway(g.tile, mcTile), mcDataReadConfCB, req)
 }
 
 // counterAccessFromL2 serves EMCC's speculative parallel counter fetch.
@@ -109,23 +93,21 @@ func (g *llcSlice) dataAccess(req *readReq) {
 // aggregate.
 func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 	s := g.s
-	t := g.es.Now()
-	g.st.Inc(stats.TsimCtrLLCLookup)
-	g.st.Inc(stats.TsimCtrSpecLLCLookup)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimCtrLLCLookup)
+	s.st.Inc(stats.TsimCtrSpecLLCLookup)
 	if g.c.Lookup(cb) {
-		g.st.Inc(stats.TsimCtrLLCHit)
-		g.st.Inc(stats.TsimCtrSpecLLCHit)
+		s.st.Inc(stats.TsimCtrLLCHit)
+		s.st.Inc(stats.TsimCtrSpecLLCHit)
 		req.tr.MarkCtr(obs.CtrAtLLC)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, req.l2.tile)
-		req.holdReq()
-		g.toCore[req.l2.id].send(arr, counterArrivedCB, req)
+		s.schedReq(arr, counterArrivedCB, req)
 		return
 	}
-	g.st.Inc(stats.TsimCtrLLCMiss)
-	g.st.Inc(stats.TsimCtrSpecLLCMiss)
+	s.st.Inc(stats.TsimCtrLLCMiss)
+	s.st.Inc(stats.TsimCtrSpecLLCMiss)
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(cb))
-	req.holdReq()
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
+	s.schedReq(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
 }
 
 // handleMetaProbe serves the baseline MC counter path: the MC, having
@@ -135,17 +117,17 @@ func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 func (g *llcSlice) handleMetaProbe(a any) {
 	s := g.s
 	mb := s.unbox(a)
-	t := g.es.Now()
-	g.st.Inc(stats.TsimCtrLLCLookup)
+	t := s.eng.Now()
+	s.st.Inc(stats.TsimCtrLLCLookup)
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(mb))
 	if g.c.Lookup(mb) {
-		g.st.Inc(stats.TsimCtrLLCHit)
+		s.st.Inc(stats.TsimCtrLLCHit)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, mcTile)
-		g.toHub.send(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
+		s.atCall(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
 		return
 	}
-	g.st.Inc(stats.TsimCtrLLCMiss)
-	g.toHub.send(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
+	s.st.Inc(stats.TsimCtrLLCMiss)
+	s.atCall(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
 }
 
 // handleInsertData unpacks an L2 data-victim spill (block<<1|dirty).
@@ -183,6 +165,5 @@ func (g *llcSlice) insert(block uint64, dirty bool, kind addr.Kind) {
 		cb = s.mc.wbMetaCB
 	}
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(v.Block))
-	//lint:ignore allocpin sharded-engine path: box falls back to a per-message allocation only when Domains > 0, outside the serial-only 0-alloc pins
-	g.toHub.send(g.es.Now()+s.oneway(g.tile, mcTile), cb, s.box(v.Block))
+	s.atCall(s.eng.Now()+s.oneway(g.tile, mcTile), cb, s.box(v.Block))
 }

@@ -33,15 +33,12 @@ type mcCtl struct {
 	pendData map[uint64]*mcDataPending
 	pendMeta map[uint64]*metaFetch
 
-	toSlice []port // metadata probes and inserts to the home slices
-	toCore  []port // data responses, counter deliveries, invalidations
+	freePend  *mcDataPending // mcDataPending pool
+	freeCont  *metaCont      // metadata-continuation pool
+	freeFetch *metaFetch     // metaFetch pool
 
-	// Prebound handlers for packed-payload messages arriving at the hub
+	// Prebound handlers for packed-payload messages arriving at the MC
 	// (bound once in newMCCtl).
-	freePend  *mcDataPending // mcDataPending pool (hub-owned)
-	freeCont  *metaCont      // metadata-continuation pool (hub-owned)
-	freeFetch *metaFetch     // metaFetch pool (hub-owned)
-
 	wbDataCB        func(any) // boxed victim block from a slice (data)
 	wbMetaCB        func(any) // boxed victim block from a slice (metadata)
 	metaProbeDoneCB func(any) // packed mb<<1|hit probe reply from a slice
@@ -119,9 +116,8 @@ func (m *mcCtl) putPending(p *mcDataPending) {
 	m.freePend = p
 }
 
-// metaCont is one pooled continuation in the metadata machinery. The
-// whole counter path runs hub-side in both engines, so a plain freelist
-// keeps it allocation-free. The func(at) bodies are bound once per entry
+// metaCont is one pooled continuation in the metadata machinery. A plain
+// freelist keeps it allocation-free. The func(at) bodies are bound once per entry
 // (each captures only the entry) and read the argument fields set at
 // checkout, replacing the per-call closures the hot write path used to
 // allocate.
@@ -285,16 +281,16 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 	return m
 }
 
-// handleWBData unboxes a dirty data-victim writeback arriving over a
-// slice's toHub link.
+// handleWBData unboxes a dirty data-victim writeback arriving from a
+// slice.
 func (m *mcCtl) handleWBData(a any) { m.writebackData(m.s.unbox(a)) }
 
-// handleWBMeta unboxes a dirty metadata-victim writeback arriving over a
-// slice's toHub link.
+// handleWBMeta unboxes a dirty metadata-victim writeback arriving from a
+// slice.
 func (m *mcCtl) handleWBMeta(a any) { m.writebackMeta(m.s.unbox(a)) }
 
 // handleMetaProbeDone unboxes a home slice's counter-probe verdict
-// (mb<<1|hit) arriving over its toHub link.
+// (mb<<1|hit).
 func (m *mcCtl) handleMetaProbeDone(a any) { m.metaProbeDone(m.s.unbox(a)) }
 
 // ---- Data read path ----
@@ -305,7 +301,7 @@ func (m *mcCtl) handleMetaProbeDone(a any) { m.metaProbeDone(m.s.unbox(a)) }
 // starts once the confirmed LLC miss arrives (Fig 14b: under XPT the
 // baseline's counter access in LLC still follows the data's LLC lookup).
 func (m *mcCtl) dataRead(req *readReq, confirmed bool) {
-	if req.done() {
+	if req.completed {
 		return
 	}
 	if req.mcStarted {
@@ -480,7 +476,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 	for _, r := range p.reqs {
 		arr := leave + m.s.oneway(mcTile, slice) + m.s.oneway(slice, r.l2.tile)
 		r.tr.AddSpan(obs.SegNoCResp, leave, arr)
-		m.toCore[r.l2.id].send(arr, arrival, r)
+		m.s.atCall(arr, arrival, r)
 	}
 	m.putPending(p)
 }
@@ -515,9 +511,8 @@ func ctrMissFetchDone(req *readReq, at sim.Time) {
 	j := m.s.mesh.SliceIndexOf(cb)
 	g := m.s.slices[j]
 	insAt := at + m.s.oneway(mcTile, g.tile)
-	m.toSlice[j].send(insAt, g.insertMetaCB, m.s.box(cb<<8|uint64(addr.KindCounter)<<1))
-	req.holdReq()
-	m.toCore[req.l2.id].send(insAt+m.s.oneway(g.tile, req.l2.tile), counterArrivedCB, req)
+	m.s.atCall(insAt, g.insertMetaCB, m.s.box(cb<<8|uint64(addr.KindCounter)<<1))
+	m.s.schedReq(insAt+m.s.oneway(g.tile, req.l2.tile), counterArrivedCB, req)
 	req.release()
 }
 
@@ -547,7 +542,7 @@ func (m *mcCtl) fetchMeta(mb uint64, skipLLC bool, done func(at sim.Time)) {
 		mcTile := m.s.mesh.MCTile(m.s.mesh.MCOf(mb))
 		j := m.s.mesh.SliceIndexOf(mb)
 		g := m.s.slices[j]
-		m.toSlice[j].send(missAt+m.s.oneway(mcTile, g.tile), g.metaProbeCB, m.s.box(mb))
+		m.s.atCall(missAt+m.s.oneway(mcTile, g.tile), g.metaProbeCB, m.s.box(mb))
 		return
 	}
 	c := m.getCont()
@@ -619,7 +614,7 @@ func (m *mcCtl) spillMeta(mb uint64, dirty bool) {
 		if dirty {
 			p |= 1
 		}
-		m.toSlice[j].send(m.s.eng.Now()+m.s.oneway(mcTile, g.tile), g.insertMetaCB, m.s.box(p))
+		m.s.atCall(m.s.eng.Now()+m.s.oneway(mcTile, g.tile), g.insertMetaCB, m.s.box(p))
 		return
 	}
 	if dirty {
@@ -688,8 +683,8 @@ func (m *mcCtl) bumpCounter(block uint64, isData bool) {
 func (m *mcCtl) invalidateL2Counters(cb uint64) {
 	now := m.s.eng.Now()
 	mcTile := m.s.mesh.MCTile(m.s.mesh.MCOf(cb))
-	for c, l2 := range m.s.l2s {
-		m.toCore[c].send(now+m.s.oneway(mcTile, l2.tile), l2.invCtrCB, m.s.box(cb))
+	for _, l2 := range m.s.l2s {
+		m.s.atCall(now+m.s.oneway(mcTile, l2.tile), l2.invCtrCB, m.s.box(cb))
 	}
 }
 

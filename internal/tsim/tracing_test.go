@@ -33,9 +33,7 @@ func tracedRun(t *testing.T, mutate func(*config.Config), scale workload.Scale, 
 		o.Writer = buf
 	}
 	tr := obs.New(o)
-	if err := s.SetTracer(tr); err != nil {
-		t.Fatal(err)
-	}
+	s.SetTracer(tr)
 	s.Run()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

@@ -190,12 +190,40 @@ func TestEMCCRunExercisesAllPaths(t *testing.T) {
 	}
 }
 
+// TestDeterminism reruns identical scenarios and requires the results and
+// the full stats snapshot to match byte for byte: a single-benchmark EMCC
+// run and the 4-core "+"-mix co-run, where each core replays its own stream
+// into the shared sliced LLC and same-timestamp contention for one home
+// slice is common.
 func TestDeterminism(t *testing.T) {
-	_, a := run(t, func(c *config.Config) { c.EMCC = true }, "pageRank", 80_000, 150_000)
-	_, b := run(t, func(c *config.Config) { c.EMCC = true }, "pageRank", 80_000, 150_000)
-	if a.SimulatedTime != b.SimulatedTime || a.Instructions != b.Instructions {
-		t.Fatalf("identical configs diverged: %v/%v vs %v/%v",
-			a.SimulatedTime, a.Instructions, b.SimulatedTime, b.Instructions)
+	cases := []struct {
+		name   string
+		bench  string
+		mutate func(*config.Config)
+	}{
+		{"pageRank-emcc", "pageRank", func(c *config.Config) { c.EMCC = true }},
+		{"corun-mcf+canneal", "mcf+canneal", func(c *config.Config) { c.EMCC = true; c.Channels = 4 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			once := func() (Result, []byte) {
+				s, res := run(t, tc.mutate, tc.bench, 80_000, 150_000)
+				snap, err := s.Stats().Snapshot().StableJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, snap
+			}
+			a, aSnap := once()
+			b, bSnap := once()
+			if a.SimulatedTime != b.SimulatedTime || a.Instructions != b.Instructions {
+				t.Fatalf("identical configs diverged: %v/%v vs %v/%v",
+					a.SimulatedTime, a.Instructions, b.SimulatedTime, b.Instructions)
+			}
+			if string(aSnap) != string(bSnap) {
+				t.Fatal("identical configs produced different stats snapshots")
+			}
+		})
 	}
 }
 

@@ -24,12 +24,7 @@ func (s *Sim) warm(refs int64) {
 		}
 	}
 	s.warming = false
-	// The measurement boundary: reset the run's set and every per-domain
-	// shard (warm traffic bumps entity-local counters like EmccUseless).
 	s.st.Reset()
-	for _, ds := range s.domSets {
-		ds.Reset()
-	}
 }
 
 // warmAccess mirrors the timed read/write path against the same functional
