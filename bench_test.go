@@ -154,13 +154,31 @@ func BenchmarkBlockEncrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheLookupInsert cycles a working set of twice the capacity
+// through a tag store: "l2" is the 1 MB 8-way L2 (power-of-two sets, mask
+// indexing); "llc-slice" is one 16-way LLC slice whose SplitSets share is
+// not a power of two (modulo indexing).
 func BenchmarkCacheLookupInsert(b *testing.B) {
-	c := cache.New("bench", 1<<20, 8)
-	for i := 0; i < b.N; i++ {
-		blk := uint64(i) % 32768
-		if !c.Lookup(blk) {
-			c.Insert(blk, i&1 == 0, iaddr.KindData)
-		}
+	cfg := config.Default()
+	mesh := noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay)
+	llcSets := cache.SplitSets(uint64(cfg.L3Bytes/iaddr.BlockBytes)/uint64(cfg.L3Ways), mesh.CoreTiles())
+	for _, g := range []struct {
+		name string
+		c    *cache.Cache
+	}{
+		{"l2", cache.New("l2", cfg.L2Bytes, cfg.L2Ways)},
+		{"llc-slice", cache.NewSets("llc", llcSets[0], cfg.L3Ways)},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			c := g.c
+			span := 2 * c.Sets() * uint64(c.Ways())
+			for i := 0; i < b.N; i++ {
+				blk := uint64(i) % span
+				if !c.Lookup(blk) {
+					c.Insert(blk, i&1 == 0, iaddr.KindData)
+				}
+			}
+		})
 	}
 }
 
@@ -236,10 +254,17 @@ func BenchmarkWorkloadPageRank(b *testing.B) {
 	}
 }
 
+// BenchmarkFunctionalSimThroughput replays pageRank through fsim under
+// EMCC at test scale, one reference per op (rounded up to a whole number
+// per core): the cache, counter and stats path of the functional figures.
 func BenchmarkFunctionalSimThroughput(b *testing.B) {
 	cfg := config.Default()
+	if err := config.ApplySystem(&cfg, "emcc"); err != nil {
+		b.Fatal(err)
+	}
+	cores := int64(cfg.Cores)
 	s, err := fsim.New(&cfg, fsim.Options{
-		Benchmark: "canneal", Seed: 1, Refs: int64(b.N) + 1, Scale: workload.TestScale(),
+		Benchmark: "pageRank", Seed: 1, Refs: (int64(b.N) + cores - 1) / cores * cores, Scale: workload.TestScale(),
 	})
 	if err != nil {
 		b.Fatal(err)

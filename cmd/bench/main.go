@@ -42,7 +42,7 @@ var suites = []struct {
 	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
-	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimCoRun)$"},
+	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimCoRun|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput)$"},
 }
 
 type benchResult struct {

@@ -16,8 +16,9 @@ import (
 //   - every prebound event callback: a function value registered through
 //     Engine.AtCall/AfterCall (including registrations through an
 //     interface the engine satisfies);
-//   - every bindHot method (the warm-Reset rebinding path measured inside
-//     the AllocsPerRun loops);
+//   - every bindHot method (the construction-time stats-cell binders:
+//     their own bodies allocate the cells and are exempt below, but
+//     whatever they call is held to the hot-path rule);
 //   - the pinned hotRootPins symbols (metrics.Hist.Observe).
 //
 // Allocations that cannot run on the steady-state path are exempt: code

@@ -13,35 +13,44 @@ import (
 	"repro/internal/inv"
 )
 
-// line is one cache way.
-type line struct {
-	tag     uint64 // block index (full address >> 6); sets are by index bits
-	valid   bool
-	dirty   bool
-	kind    addr.Kind
-	lastUse uint64 // LRU stamp
-	// usedForLLCMiss supports the Fig 11 accounting: a counter block
-	// speculatively fetched into L2 was "useless" if it is evicted
-	// without ever serving a data miss that also missed in LLC.
-	usedForLLCMiss bool
-}
+// Per-way flag byte: the block kind in the low bits, then the dirty bit
+// and the used bit. The used bit supports the Fig 11 accounting: a
+// counter block speculatively fetched into L2 was "useless" if it is
+// evicted without ever serving a data miss that also missed in LLC.
+const (
+	flagKind  = 0x0f
+	flagDirty = 0x10
+	flagUsed  = 0x20
+)
+
+// Every addr.Kind must fit in flagKind (compile-time check).
+var _ [flagKind + 1 - addr.NumKinds]struct{}
 
 // Victim describes an evicted block.
 type Victim struct {
 	Block uint64
 	Dirty bool
 	Kind  addr.Kind
-	// WasUsed is the usedForLLCMiss flag at eviction (Fig 11 stat).
+	// WasUsed is the way's used bit at eviction (Fig 11 stat).
 	WasUsed bool
 }
 
 // Cache is a set-associative tag store. Not safe for concurrent use: the
 // simulator is single-threaded by design.
+//
+// The tag store is struct-of-arrays, set-major (way w of set s is index
+// s*ways+w): a probe scans only the set's tags, 8 B per way.
 type Cache struct {
-	name    string
-	sets    uint64
+	name string
+	sets uint64
+	// mask is sets-1 when sets is a power of two above one (set index
+	// by mask); otherwise zero, and the index is block % sets (the uneven
+	// LLC slice shares).
+	mask    uint64
 	ways    int
-	lines   []line // sets*ways, set-major
+	tags    []uint64 // block+1; 0 marks an invalid way
+	stamps  []uint64 // LRU stamps
+	flags   []uint8  // kind | flagDirty | flagUsed
 	stamp   uint64
 	kindCnt [addr.NumKinds]int
 
@@ -69,13 +78,7 @@ func New(name string, capacityBytes int64, ways int) *Cache {
 	if sets == 0 {
 		panic(fmt.Sprintf("cache %s: zero sets", name))
 	}
-	return &Cache{
-		name:  name,
-		sets:  sets,
-		ways:  ways,
-		lines: make([]line, sets*uint64(ways)),
-		rec:   inv.Default(),
-	}
+	return newCache(name, sets, ways)
 }
 
 // NewSets builds a cache with an explicit set count (the sliced-LLC shards
@@ -84,13 +87,24 @@ func NewSets(name string, sets uint64, ways int) *Cache {
 	if sets == 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %d sets/%d-way", name, sets, ways))
 	}
-	return &Cache{
-		name:  name,
-		sets:  sets,
-		ways:  ways,
-		lines: make([]line, sets*uint64(ways)),
-		rec:   inv.Default(),
+	return newCache(name, sets, ways)
+}
+
+func newCache(name string, sets uint64, ways int) *Cache {
+	n := sets * uint64(ways)
+	c := &Cache{
+		name:   name,
+		sets:   sets,
+		ways:   ways,
+		tags:   make([]uint64, n),
+		stamps: make([]uint64, n),
+		flags:  make([]uint8, n),
+		rec:    inv.Default(),
 	}
+	if sets&(sets-1) == 0 {
+		c.mask = sets - 1
+	}
+	return c
 }
 
 // SplitSets partitions total sets across n shards: total/n each, with the
@@ -133,58 +147,66 @@ func (c *Cache) Sets() uint64 { return c.sets }
 // KindCount reports how many lines currently hold blocks of kind k.
 func (c *Cache) KindCount(k addr.Kind) int { return c.kindCnt[k] }
 
-func (c *Cache) set(block uint64) []line {
-	s := block % c.sets
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+// base returns the index of way 0 of block's set.
+func (c *Cache) base(block uint64) int {
+	s := block & c.mask
+	if c.mask == 0 {
+		s = block % c.sets
+	}
+	return int(s) * c.ways
+}
+
+// find returns the index of the way holding block, or -1.
+func (c *Cache) find(block uint64) int {
+	b := c.base(block)
+	t := block + 1
+	for i, x := range c.tags[b : b+c.ways] {
+		if x == t {
+			return b + i
+		}
+	}
+	return -1
+}
+
+// victim reports way i's block state.
+func (c *Cache) victim(i int) Victim {
+	f := c.flags[i]
+	return Victim{Block: c.tags[i] - 1, Dirty: f&flagDirty != 0, Kind: addr.Kind(f & flagKind), WasUsed: f&flagUsed != 0}
 }
 
 // Lookup probes for a block, updating LRU on hit.
 func (c *Cache) Lookup(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			c.stamp++
-			set[i].lastUse = c.stamp
-			return true
-		}
+	i := c.find(block)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.stamp++
+	c.stamps[i] = c.stamp
+	return true
 }
 
 // Peek probes without updating LRU.
-func (c *Cache) Peek(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Peek(block uint64) bool { return c.find(block) >= 0 }
 
 // MarkDirty sets the dirty bit of a resident block; reports residency.
 func (c *Cache) MarkDirty(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].dirty = true
-			return true
-		}
+	i := c.find(block)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.flags[i] |= flagDirty
+	return true
 }
 
 // MarkUsed flags a resident counter block as having served an LLC data
 // miss (Fig 11 accounting); reports residency.
 func (c *Cache) MarkUsed(block uint64) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].usedForLLCMiss = true
-			return true
-		}
+	i := c.find(block)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.flags[i] |= flagUsed
+	return true
 }
 
 // Insert places a block, evicting if needed, and returns the victim (ok
@@ -196,32 +218,45 @@ func (c *Cache) MarkUsed(block uint64) bool {
 // counter, the insertion is dropped — the budget is a hard partition, so
 // counters can never displace more data than the cap allows (Sec. V).
 func (c *Cache) Insert(block uint64, dirty bool, kind addr.Kind) (Victim, bool) {
-	set := c.set(block)
+	b := c.base(block)
 	c.stamp++
-	// Already resident?
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].lastUse = c.stamp
-			set[i].dirty = set[i].dirty || dirty
+	t := block + 1
+	// Already resident? The same scan notes the first invalid way.
+	free := -1
+	for i, x := range c.tags[b : b+c.ways] {
+		if x == t {
+			c.stamps[b+i] = c.stamp
+			if dirty {
+				c.flags[b+i] |= flagDirty
+			}
 			return Victim{}, false
 		}
+		if x == 0 && free < 0 {
+			free = b + i
+		}
 	}
-	victimIdx := c.pickVictim(set, kind)
-	if victimIdx < 0 {
-		return Victim{}, false // counter insert dropped at cap
+	vi := free
+	if vi < 0 {
+		vi = c.pickVictim(b, kind)
+		if vi < 0 {
+			return Victim{}, false // counter insert dropped at cap
+		}
 	}
-	v := set[victimIdx]
 	var out Victim
 	evicted := false
-	if v.valid {
-		out = Victim{Block: v.tag, Dirty: v.dirty, Kind: v.kind, WasUsed: v.usedForLLCMiss}
+	if c.tags[vi] != 0 {
+		out = c.victim(vi)
 		evicted = true
-		c.kindCnt[v.kind]--
+		c.kindCnt[out.Kind]--
 	}
-	set[victimIdx] = line{tag: block, valid: true, dirty: dirty, kind: kind, lastUse: c.stamp}
+	f := uint8(kind)
+	if dirty {
+		f |= flagDirty
+	}
+	c.tags[vi], c.stamps[vi], c.flags[vi] = t, c.stamp, f
 	c.kindCnt[kind]++
 	if c.rec.On() {
-		c.checkSet(set, block)
+		c.checkSet(b, block)
 	}
 	return out, evicted
 }
@@ -229,21 +264,21 @@ func (c *Cache) Insert(block uint64, dirty bool, kind addr.Kind) (Victim, bool) 
 // checkSet validates the per-set invariants after a mutation: a block is
 // resident in at most one way, LRU stamps never run ahead of the global
 // stamp, and counter occupancy respects the configured cap. O(ways), gated.
-func (c *Cache) checkSet(set []line, block uint64) {
+func (c *Cache) checkSet(b int, block uint64) {
 	rec := c.rec
 	if !rec.On() {
 		return
 	}
 	seen := 0
-	for i := range set {
-		if !set[i].valid {
+	for i := b; i < b+c.ways; i++ {
+		if c.tags[i] == 0 {
 			continue
 		}
-		if set[i].tag == block {
+		if c.tags[i] == block+1 {
 			seen++
 		}
-		if set[i].lastUse > c.stamp {
-			rec.Failf("cache", "%s: line lastUse %d ahead of global stamp %d", c.name, set[i].lastUse, c.stamp)
+		if c.stamps[i] > c.stamp {
+			rec.Failf("cache", "%s: line lastUse %d ahead of global stamp %d", c.name, c.stamps[i], c.stamp)
 		}
 	}
 	if seen > 1 {
@@ -261,19 +296,20 @@ func (c *Cache) checkSet(set []line, block uint64) {
 func (c *Cache) CheckConsistency() error {
 	var recount [addr.NumKinds]int
 	for s := uint64(0); s < c.sets; s++ {
-		set := c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+		b := int(s) * c.ways
 		tags := make(map[uint64]int)
-		for i := range set {
-			if !set[i].valid {
+		for i := b; i < b+c.ways; i++ {
+			if c.tags[i] == 0 {
 				continue
 			}
-			recount[set[i].kind]++
-			tags[set[i].tag]++
-			if set[i].tag%c.sets != s {
-				return fmt.Errorf("cache %s: block %#x stored in set %d, maps to set %d", c.name, set[i].tag, s, set[i].tag%c.sets)
+			block := c.tags[i] - 1
+			recount[c.flags[i]&flagKind]++
+			tags[block]++
+			if block%c.sets != s {
+				return fmt.Errorf("cache %s: block %#x stored in set %d, maps to set %d", c.name, block, s, block%c.sets)
 			}
-			if set[i].lastUse > c.stamp {
-				return fmt.Errorf("cache %s: line lastUse %d ahead of global stamp %d", c.name, set[i].lastUse, c.stamp)
+			if c.stamps[i] > c.stamp {
+				return fmt.Errorf("cache %s: line lastUse %d ahead of global stamp %d", c.name, c.stamps[i], c.stamp)
 			}
 		}
 		for tag, n := range tags {
@@ -293,58 +329,55 @@ func (c *Cache) CheckConsistency() error {
 	return nil
 }
 
-// pickVictim chooses the way to replace: an invalid way first; otherwise,
-// if inserting a counter at the counter cap, the LRU *counter* way in this
+// pickVictim chooses the way to replace in a full set starting at b: if
+// inserting a counter at the counter cap, the LRU *counter* way in this
 // set — or no way at all (-1, insert dropped) when the set has none;
 // otherwise global LRU.
-func (c *Cache) pickVictim(set []line, kind addr.Kind) int {
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-	}
+func (c *Cache) pickVictim(b int, kind addr.Kind) int {
+	stamps := c.stamps[b : b+c.ways]
 	if c.ctrCapLines > 0 && kind == addr.KindCounter && c.kindCnt[addr.KindCounter] >= c.ctrCapLines {
 		best := -1
-		for i := range set {
-			if set[i].kind == addr.KindCounter && (best < 0 || set[i].lastUse < set[best].lastUse) {
+		for i, f := range c.flags[b : b+c.ways] {
+			if addr.Kind(f&flagKind) == addr.KindCounter && (best < 0 || stamps[i] < stamps[best]) {
 				best = i
 			}
 		}
-		return best
+		if best < 0 {
+			return -1
+		}
+		return b + best
 	}
 	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[best].lastUse {
+	for i := 1; i < len(stamps); i++ {
+		if stamps[i] < stamps[best] {
 			best = i
 		}
 	}
-	return best
+	return b + best
 }
 
 // Invalidate removes a block; reports whether it was resident and returns
 // its pre-invalidation state (for writeback-on-invalidate policies and the
 // Fig 23 accounting).
 func (c *Cache) Invalidate(block uint64) (Victim, bool) {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			v := Victim{Block: set[i].tag, Dirty: set[i].dirty, Kind: set[i].kind, WasUsed: set[i].usedForLLCMiss}
-			if rec := c.rec; rec.On() && c.kindCnt[set[i].kind] <= 0 {
-				rec.Failf("cache", "%s: invalidating %v block %#x with non-positive kind ledger %d", c.name, set[i].kind, block, c.kindCnt[set[i].kind])
-			}
-			c.kindCnt[set[i].kind]--
-			set[i] = line{}
-			return v, true
-		}
+	i := c.find(block)
+	if i < 0 {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	v := c.victim(i)
+	if rec := c.rec; rec.On() && c.kindCnt[v.Kind] <= 0 {
+		rec.Failf("cache", "%s: invalidating %v block %#x with non-positive kind ledger %d", c.name, v.Kind, block, c.kindCnt[v.Kind])
+	}
+	c.kindCnt[v.Kind]--
+	c.tags[i], c.stamps[i], c.flags[i] = 0, 0, 0
+	return v, true
 }
 
 // Occupancy reports the number of valid lines (for tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

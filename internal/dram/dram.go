@@ -136,7 +136,9 @@ func New(eng *sim.Engine, st *stats.Set, cfg *config.Config) *DRAM {
 		},
 	}
 	for i := 0; i < cfg.Channels; i++ {
-		d.chans = append(d.chans, newChannel(d, i, m.BanksPerChannel()))
+		ch := newChannel(d, i, m.BanksPerChannel())
+		ch.bindHot()
+		d.chans = append(d.chans, ch)
 	}
 	return d
 }
@@ -290,13 +292,9 @@ type channel struct {
 }
 
 // chanStats caches the stats cells issue() records into, replacing five
-// map lookups per access with pointer bumps. Binding is lazy — at the
-// first issue after construction — because the owning simulation may
-// Reset the stats set at its warmup boundary (tsim does), which would
-// strand cells bound any earlier; no DRAM traffic is issued during a
-// functional warmup, so first-issue is always on the measured side.
+// map lookups per access with pointer bumps. New binds them once: a cell
+// stays bound across the owning simulation's warmup Reset.
 type chanStats struct {
-	bound                          bool
 	rowHit, rowClosed, rowConflict *int64
 	qdelay                         [numTrafficKinds][2]*stats.Accumulator
 	qdhist                         [numTrafficKinds][2]*metrics.Hist
@@ -316,7 +314,6 @@ func (ch *channel) bindHot() {
 			ch.hs.access[k][dir] = st.CounterRef(accessKeys[k][dir]) //lint:dynamic-key selected from the registered accessKeys table
 		}
 	}
-	ch.hs.bound = true
 }
 
 type bank struct {
@@ -463,9 +460,6 @@ func (ch *channel) rowHit(b *bank, row uint64, now sim.Time) bool {
 
 // issue performs the access timing for one request.
 func (ch *channel) issue(r *Request) {
-	if !ch.hs.bound {
-		ch.bindHot()
-	}
 	now := ch.d.eng.Now()
 	loc := ch.d.mapper.Map(r.Block)
 	bankID := ch.d.mapper.BankID(loc)

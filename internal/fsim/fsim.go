@@ -59,6 +59,61 @@ type Sim struct {
 	trc      *obs.Tracer // nil = tracing disabled
 	warming  bool
 	refsSeen int64 // measured references replayed (pseudo-time for flow events)
+
+	hs hotCells
+}
+
+// hotCells are the stats counters fsim bumps, bound once in New: a cell
+// stays bound across the warmup Reset, so the replay loop never looks a
+// key up.
+type hotCells struct {
+	dataRead, dataWrite          *int64
+	l2DataMiss                   *int64
+	llcDataAccess, llcDataMiss   *int64
+	dramDataRead, dramDataWrite  *int64
+	dramCtrRead, dramCtrWrite    *int64
+	dramOvfL0, dramOvfHi         *int64
+	ctrMCHit                     *int64
+	ctrLLCLookup                 *int64
+	ctrLLCHit, ctrLLCMiss        *int64
+	l2CtrHit, l2CtrMiss          *int64
+	specFetch, ctrInserted       *int64
+	useless, invalidations       *int64
+	directDecrypt, directEncrypt *int64 // counter-free designs; a scratch cell otherwise
+}
+
+func (h *hotCells) bindHot(st *stats.Set, ctr config.CounterDesign) {
+	h.dataRead = st.CounterRef(stats.FsimDataRead)
+	h.dataWrite = st.CounterRef(stats.FsimDataWrite)
+	h.l2DataMiss = st.CounterRef(stats.FsimL2DataMiss)
+	h.llcDataAccess = st.CounterRef(stats.FsimLLCDataAccess)
+	h.llcDataMiss = st.CounterRef(stats.FsimLLCDataMiss)
+	h.dramDataRead = st.CounterRef(stats.FsimDRAMDataRead)
+	h.dramDataWrite = st.CounterRef(stats.FsimDRAMDataWrite)
+	h.dramCtrRead = st.CounterRef(stats.FsimDRAMCtrRead)
+	h.dramCtrWrite = st.CounterRef(stats.FsimDRAMCtrWrite)
+	h.dramOvfL0 = st.CounterRef(stats.FsimDRAMOvfL0)
+	h.dramOvfHi = st.CounterRef(stats.FsimDRAMOvfHi)
+	h.ctrMCHit = st.CounterRef(stats.FsimCtrMCHit)
+	h.ctrLLCLookup = st.CounterRef(stats.FsimCtrLLCLookup)
+	h.ctrLLCHit = st.CounterRef(stats.FsimCtrLLCHit)
+	h.ctrLLCMiss = st.CounterRef(stats.FsimCtrLLCMiss)
+	h.l2CtrHit = st.CounterRef(stats.EmccL2CtrHit)
+	h.l2CtrMiss = st.CounterRef(stats.EmccL2CtrMiss)
+	h.specFetch = st.CounterRef(stats.EmccSpecFetch)
+	h.ctrInserted = st.CounterRef(stats.EmccCtrInserted)
+	h.useless = st.CounterRef(stats.EmccUseless)
+	h.invalidations = st.CounterRef(stats.EmccInvalidations)
+	switch ctr {
+	case config.CtrBipBip:
+		h.directDecrypt = st.CounterRef(stats.BipBipDecryptOps)
+		h.directEncrypt = st.CounterRef(stats.BipBipEncryptOps)
+	case config.CtrInSRAM:
+		h.directDecrypt = st.CounterRef(stats.InSRAMDecryptOps)
+		h.directEncrypt = st.CounterRef(stats.InSRAMEncryptOps)
+	default: // no cipher to count (non-secure)
+		h.directDecrypt, h.directEncrypt = new(int64), new(int64)
+	}
 }
 
 // New builds a functional simulation. cfg.Counter selects the secure-memory
@@ -130,6 +185,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.home.SetRecorder(rec)
 	}
 	s.pol = emcc.Policy{L2CounterCap: cfg.EMCCL2CounterBytes}
+	s.hs.bindHot(s.st, cfg.Counter)
 	return s, nil
 }
 
@@ -174,9 +230,9 @@ func (s *Sim) access(core int, a workload.Access) {
 		s.refsSeen++
 	}
 	if a.Write {
-		s.st.Inc(stats.FsimDataWrite)
+		*s.hs.dataWrite++
 	} else {
-		s.st.Inc(stats.FsimDataRead)
+		*s.hs.dataRead++
 	}
 
 	// L1.
@@ -192,13 +248,13 @@ func (s *Sim) access(core int, a workload.Access) {
 		return
 	}
 	// L2 data miss: this is where EMCC engages (Sec. IV-C).
-	s.st.Inc(stats.FsimL2DataMiss)
+	*s.hs.l2DataMiss++
 	if s.cfg.EMCC {
 		s.emccCounterProbe(core, block)
 	}
 
 	// LLC.
-	s.st.Inc(stats.FsimLLCDataAccess)
+	*s.hs.llcDataAccess++
 	if s.llcOf(block).Lookup(block) {
 		if s.trc != nil && !s.warming {
 			s.trc.Flow(core, block, a.Write, false, s.refsSeen)
@@ -208,14 +264,14 @@ func (s *Sim) access(core int, a workload.Access) {
 		s.fillL1(core, block, a.Write)
 		return
 	}
-	s.st.Inc(stats.FsimLLCDataMiss)
+	*s.hs.llcDataMiss++
 	if s.trc != nil && !s.warming {
 		s.trc.Flow(core, block, a.Write, true, s.refsSeen)
 	}
 
 	// DRAM data read, with its counter access (counter-backed designs) or
 	// a direct-cipher decryption (counter-free designs).
-	s.st.Inc(stats.FsimDRAMDataRead)
+	*s.hs.dramDataRead++
 	if s.home != nil {
 		s.counterForDataRead(core, block)
 	} else {
@@ -246,7 +302,7 @@ func (s *Sim) fillL2(core int, block uint64, dirty bool) {
 		// An EMCC-cached counter block leaves L2; if it never served
 		// an LLC data miss its speculative fetch was useless (Fig 11).
 		if !v.WasUsed {
-			s.st.Inc(stats.EmccUseless)
+			*s.hs.useless++
 		}
 		return // counters are clean in L2; LLC already has its copy path
 	}

@@ -1,10 +1,6 @@
 package fsim
 
-import (
-	"repro/internal/addr"
-	"repro/internal/config"
-	"repro/internal/stats"
-)
+import "repro/internal/addr"
 
 // This file is the secure-memory side of the functional simulator: counter
 // placement/classification, the EMCC L2 counter path, metadata movement
@@ -24,18 +20,18 @@ import (
 func (s *Sim) emccCounterProbe(core int, dataBlock uint64) {
 	cb := s.home.CounterBlockOf(dataBlock)
 	if s.l2[core].Lookup(cb) {
-		s.st.Inc(stats.EmccL2CtrHit)
+		*s.hs.l2CtrHit++
 		return
 	}
-	s.st.Inc(stats.EmccL2CtrMiss)
-	s.st.Inc(stats.EmccSpecFetch)
-	s.st.Inc(stats.FsimCtrLLCLookup)
+	*s.hs.l2CtrMiss++
+	*s.hs.specFetch++
+	*s.hs.ctrLLCLookup++
 	if s.llcOf(cb).Lookup(cb) {
-		s.st.Inc(stats.FsimCtrLLCHit)
+		*s.hs.ctrLLCHit++
 		s.insertCtrIntoL2(core, cb)
 		return
 	}
-	s.st.Inc(stats.FsimCtrLLCMiss)
+	*s.hs.ctrLLCMiss++
 	// Counter missed on-chip: MC resolves it (possibly from its own
 	// cache, else DRAM + tree verification) and supplies LLC and L2.
 	s.fetchMeta(cb, true)
@@ -46,14 +42,14 @@ func (s *Sim) emccCounterProbe(core int, dataBlock uint64) {
 // insertCtrIntoL2 caches a counter block in L2 under the 32 KB cap,
 // accounting Fig 11's useless-fetch tracking on eviction.
 func (s *Sim) insertCtrIntoL2(core int, cb uint64) {
-	s.st.Inc(stats.EmccCtrInserted)
+	*s.hs.ctrInserted++
 	v, ok := s.l2[core].Insert(cb, false, addr.KindCounter)
 	if !ok {
 		return
 	}
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			s.st.Inc(stats.EmccUseless)
+			*s.hs.useless++
 		}
 		return
 	}
@@ -73,17 +69,17 @@ func (s *Sim) counterForDataRead(core int, dataBlock uint64) {
 		return
 	}
 	if s.home.LookupMeta(cb) {
-		s.st.Inc(stats.FsimCtrMCHit)
+		*s.hs.ctrMCHit++
 		return
 	}
 	if s.cfg.CountersInLLC {
-		s.st.Inc(stats.FsimCtrLLCLookup)
+		*s.hs.ctrLLCLookup++
 		if s.llcOf(cb).Lookup(cb) {
-			s.st.Inc(stats.FsimCtrLLCHit)
+			*s.hs.ctrLLCHit++
 			s.moveMetaToMC(cb)
 			return
 		}
-		s.st.Inc(stats.FsimCtrLLCMiss)
+		*s.hs.ctrLLCMiss++
 	}
 	// The probe (if any) just missed: go straight to DRAM + verification.
 	s.fetchMeta(cb, true)
@@ -103,13 +99,13 @@ func (s *Sim) fetchMeta(mb uint64, skipLLC bool) {
 		return
 	}
 	if s.cfg.CountersInLLC && !skipLLC {
-		s.st.Inc(stats.FsimCtrLLCLookup)
+		*s.hs.ctrLLCLookup++
 		if s.llcOf(mb).Lookup(mb) {
 			s.moveMetaToMC(mb)
 			return
 		}
 	}
-	s.st.Inc(stats.FsimDRAMCtrRead)
+	*s.hs.dramCtrRead++
 	if p, ok := s.home.Space.ParentOf(mb); ok {
 		s.fetchMeta(p, false)
 	}
@@ -142,37 +138,23 @@ func (s *Sim) spillMetaVictim(mb uint64, dirty bool) {
 // writebackMeta is a metadata block reaching DRAM: one counter write plus
 // the write-counter update of the block itself (its parent counter).
 func (s *Sim) writebackMeta(mb uint64) {
-	s.st.Inc(stats.FsimDRAMCtrWrite)
+	*s.hs.dramCtrWrite++
 	s.bumpCounter(mb)
 }
 
 // directDecrypt accounts one per-block cipher operation for the
 // counter-free designs on a DRAM data fill (no counter to resolve, no
 // metadata traffic — just the block cipher itself).
-func (s *Sim) directDecrypt() {
-	switch s.cfg.Counter {
-	case config.CtrBipBip:
-		s.st.Inc(stats.BipBipDecryptOps)
-	case config.CtrInSRAM:
-		s.st.Inc(stats.InSRAMDecryptOps)
-	}
-}
+func (s *Sim) directDecrypt() { *s.hs.directDecrypt++ }
 
 // directEncrypt is directDecrypt's writeback counterpart.
-func (s *Sim) directEncrypt() {
-	switch s.cfg.Counter {
-	case config.CtrBipBip:
-		s.st.Inc(stats.BipBipEncryptOps)
-	case config.CtrInSRAM:
-		s.st.Inc(stats.InSRAMEncryptOps)
-	}
-}
+func (s *Sim) directEncrypt() { *s.hs.directEncrypt++ }
 
 // writebackData is a dirty data block reaching DRAM: one data write, the
 // block's counter update, and — under EMCC — invalidation of the counter
 // block's L2 copies (Sec. IV-C, Fig 23).
 func (s *Sim) writebackData(db uint64) {
-	s.st.Inc(stats.FsimDRAMDataWrite)
+	*s.hs.dramDataWrite++
 	if s.home == nil {
 		s.directEncrypt()
 		return
@@ -199,9 +181,9 @@ func (s *Sim) bumpCounter(block uint64) {
 	// Rebase re-encryption: each covered block is read and rewritten.
 	traffic := int64(2 * ov.ReencryptBlocks)
 	if ov.Level == 0 {
-		s.st.Add(stats.FsimDRAMOvfL0, traffic)
+		*s.hs.dramOvfL0 += traffic
 	} else {
-		s.st.Add(stats.FsimDRAMOvfHi, traffic)
+		*s.hs.dramOvfHi += traffic
 	}
 	// The rebase changed every counter in the block: EMCC must
 	// invalidate stale L2 copies.
@@ -216,9 +198,9 @@ func (s *Sim) bumpCounter(block uint64) {
 func (s *Sim) invalidateL2Counters(cb uint64) {
 	for _, l2 := range s.l2 {
 		if v, ok := l2.Invalidate(cb); ok {
-			s.st.Inc(stats.EmccInvalidations)
+			*s.hs.invalidations++
 			if !v.WasUsed {
-				s.st.Inc(stats.EmccUseless)
+				*s.hs.useless++
 			}
 		}
 	}

@@ -422,12 +422,9 @@ type Tracer struct {
 	// freeReq heads the retired-request pool (see Req.nextFree).
 	freeReq *Req
 
-	// hists caches the latency-histogram cells of the stats sink. Binding
-	// is lazy — at the first aggregate — because the owning simulation may
-	// Reset its stats set at the warmup boundary (tsim does) and warmup is
-	// never traced, so first-aggregate is always on the measured side.
+	// hists caches the latency-histogram cells of the stats sink, bound
+	// once in New (a cell stays bound across the owner's warmup Reset).
 	hists struct {
-		bound   bool
 		seg     [numSegments]*metrics.Hist
 		latency *metrics.Hist
 		exposed *metrics.Hist
@@ -446,6 +443,9 @@ func New(o Options) *Tracer {
 	t := &Tracer{st: o.Stats, sample: o.Sample, period: o.SamplePeriod, topN: o.TopN}
 	// One spare slot so keepTopN's insert-then-truncate never reallocates.
 	t.top = make([]*Req, 0, o.TopN+1)
+	if t.st != nil {
+		t.bindHists()
+	}
 	if o.Writer != nil {
 		t.cw = newChromeWriter(o.Writer, o.Meta)
 	}
@@ -520,8 +520,7 @@ func (t *Tracer) recycle(r *Req) {
 	t.freeReq = r
 }
 
-// bindHists binds the latency-histogram cells (called lazily from
-// aggregate; see the field comment for why binding waits).
+// bindHists binds the latency-histogram cells of the stats sink.
 func (t *Tracer) bindHists() {
 	st := t.st
 	for i := range segHistKeys {
@@ -529,15 +528,11 @@ func (t *Tracer) bindHists() {
 	}
 	t.hists.latency = st.HistRef(stats.ObsReqLatencyHist)
 	t.hists.exposed = st.HistRef(stats.ObsExposedDecryptHist)
-	t.hists.bound = true
 }
 
 // aggregate feeds the stats sink with this request's attribution.
 func (t *Tracer) aggregate(r *Req) {
 	st := t.st
-	if !t.hists.bound {
-		t.bindHists()
-	}
 	st.Inc(stats.ObsReqTraced)
 	if r.Store {
 		st.Inc(stats.ObsReqStore)

@@ -4,11 +4,12 @@
 //
 // Contract (enforced by cmd/lint's statskey pass and by keys_test.go):
 //
-//   - Every name passed to Set.Add/Inc/Observe/Counter/Accum/Hist/HistRef
-//     and to Snapshot.Counter/AccumMean/Hist must resolve, at compile time, to one of
-//     the constants below. A key that is assembled at runtime (per-segment
-//     or per-name families like "obs/seg/<segment>-ns") must carry a
-//     `//lint:dynamic-key` annotation at the call site.
+//   - Every name passed to Set.Add/Inc/Observe/Counter/CounterRef/Accum/
+//     AccumRef/Hist/HistRef and to Snapshot.Counter/AccumMean/Hist must
+//     resolve, at compile time, to one of the constants below. A key
+//     that is assembled at runtime (per-segment or per-name families like
+//     "obs/seg/<segment>-ns") must carry a `//lint:dynamic-key`
+//     annotation at the call site.
 //   - Every constant declared in this file must be listed in registry and
 //     referenced somewhere outside this package — an orphaned key means a
 //     producer or consumer was deleted and the other side now silently

@@ -38,15 +38,23 @@ func NewSet() *Set {
 	}
 }
 
-// Reset clears every metric while keeping the set's identity, so
-// components holding the pointer keep recording. Used at the
-// warmup-to-measurement boundary. Cells handed out by CounterRef/AccumRef
-// before a Reset go stale (they keep counting into the discarded
-// generation); components caching refs must re-bind after Reset.
+// Reset zeroes every counter, accumulator and histogram in place while
+// keeping the set's identity, so components holding the pointer keep
+// recording. Used at the warmup-to-measurement boundary. Cells handed out
+// by CounterRef/AccumRef/HistRef stay bound across a Reset: they record
+// into the live set, so components bind them once at construction. Zeroed
+// cells are invisible to Snapshot/Names/Dump, so a reset set reports
+// exactly what a fresh set given the same traffic would.
 func (s *Set) Reset() {
-	s.counters = make(map[string]*int64)
-	s.accums = make(map[string]*Accumulator)
-	s.hists = make(map[string]*metrics.Hist)
+	for _, c := range s.counters {
+		*c = 0
+	}
+	for _, a := range s.accums {
+		*a = newAccumulator()
+	}
+	for _, h := range s.hists {
+		h.Reset()
+	}
 }
 
 // SetProvenance attaches a run-provenance manifest (see internal/prov) to
@@ -69,8 +77,8 @@ func (s *Set) Counter(name string) int64 {
 }
 
 // CounterRef returns the named counter's cell, creating it at zero. Hot
-// paths bind the cell once and bump through the pointer; the cell is valid
-// until the next Reset.
+// paths bind the cell once and bump through the pointer; the cell stays
+// bound for the life of the set, Reset included.
 func (s *Set) CounterRef(name string) *int64 {
 	c := s.counters[name]
 	if c == nil {
@@ -84,21 +92,27 @@ func (s *Set) CounterRef(name string) *int64 {
 func (s *Set) Observe(name string, v float64) { s.AccumRef(name).Observe(v) }
 
 // AccumRef returns the named accumulator, creating an empty one. Hot paths
-// bind it once and Observe through the pointer; it is valid until the next
-// Reset. An accumulator that never receives a sample stays invisible to
-// Snapshot and Names.
+// bind it once and Observe through the pointer; it stays bound for the
+// life of the set, Reset included. An accumulator that never receives a
+// sample stays invisible to Snapshot and Names.
 func (s *Set) AccumRef(name string) *Accumulator {
 	a := s.accums[name]
 	if a == nil {
-		a = &Accumulator{Min: math.Inf(1), Max: math.Inf(-1)}
+		a = new(Accumulator)
+		*a = newAccumulator()
 		s.accums[name] = a
 	}
 	return a
 }
 
-// Accum returns the named accumulator, or an empty one if never observed.
+// newAccumulator is an empty accumulator with its min/max sentinels set.
+func newAccumulator() Accumulator { return Accumulator{Min: math.Inf(1), Max: math.Inf(-1)} }
+
+// Accum returns the named accumulator, or an empty one if nothing was
+// observed into it since the set was made or last Reset (a bound but
+// unobserved cell's ±Inf sentinels never leak out).
 func (s *Set) Accum(name string) *Accumulator {
-	if a := s.accums[name]; a != nil {
+	if a := s.accums[name]; a != nil && a.Count != 0 {
 		return a
 	}
 	return &Accumulator{}
@@ -106,7 +120,7 @@ func (s *Set) Accum(name string) *Accumulator {
 
 // HistRef returns the named histogram's cell, creating an empty one. Hot
 // paths bind the cell once and Observe through the pointer (the same
-// discipline as CounterRef/AccumRef); it is valid until the next Reset. A
+// discipline as CounterRef/AccumRef); it stays bound across Reset. A
 // histogram that never receives a sample stays invisible to Snapshot and
 // Names, so eager binding never perturbs golden output.
 func (s *Set) HistRef(name string) *metrics.Hist {

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -68,6 +69,90 @@ func TestReset(t *testing.T) {
 	}
 	if len(s.Names()) != 0 {
 		t.Fatalf("names after reset: %v", s.Names())
+	}
+}
+
+// TestResetKeepsBoundCells: a cell handed out before Reset records into
+// the live set after it, so components bind once at construction.
+func TestResetKeepsBoundCells(t *testing.T) {
+	s := NewSet()
+	c, a, h := s.CounterRef("c"), s.AccumRef("a"), s.HistRef("h")
+	*c += 7
+	a.Observe(3)
+	h.Observe(40)
+	s.Reset()
+	*c++
+	a.Observe(9)
+	h.Observe(5)
+	if got := s.Counter("c"); got != 1 {
+		t.Fatalf("counter after reset = %d, want 1", got)
+	}
+	if got := s.Accum("a"); got.Count != 1 || got.Min != 9 || got.Max != 9 || got.Sum != 9 {
+		t.Fatalf("accum after reset = %+v, want one sample of 9", got)
+	}
+	if got := s.Hist("h"); got.Count() != 1 || got.Max() != 5 {
+		t.Fatalf("hist after reset: count %d max %d, want 1 and 5", got.Count(), got.Max())
+	}
+	if s.CounterRef("c") != c || s.AccumRef("a") != a || s.HistRef("h") != h {
+		t.Fatal("Reset replaced a bound cell")
+	}
+}
+
+// TestResetMatchesFreshSet: a reset set and a fresh one, given the same
+// traffic after the reset, are indistinguishable through Snapshot, Names
+// and Dump — including keys recorded only before the reset, and keys
+// bound but never recorded.
+func TestResetMatchesFreshSet(t *testing.T) {
+	warm := func(s *Set) {
+		s.Add("only-before", 3)
+		s.Inc("both")
+		s.Observe("lat-before", 2)
+		s.Observe("lat", 100)
+		s.HistRef("hist-before").Observe(7)
+		s.HistRef("hist").Observe(70)
+		s.CounterRef("bound-only")
+	}
+	traffic := func(s *Set) {
+		s.Inc("both")
+		s.Add("after", 5)
+		s.Observe("lat", 4)
+		s.Observe("lat", 6)
+		s.HistRef("hist").Observe(12)
+	}
+	reset := NewSet()
+	warm(reset)
+	reset.Reset()
+	traffic(reset)
+	fresh := NewSet()
+	traffic(fresh)
+
+	if got, want := reset.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot after reset:\n%+v\nfresh:\n%+v", got, want)
+	}
+	if got, want := reset.Names(), fresh.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("names after reset %v, fresh %v", got, want)
+	}
+	if got, want := reset.Dump(), fresh.Dump(); got != want {
+		t.Fatalf("dump after reset:\n%s\nfresh:\n%s", got, want)
+	}
+}
+
+// TestResetAccumMatchesFresh: Accum on a key that was reset and not
+// observed again answers exactly as on a set that never saw the key (no
+// ±Inf sentinels of the emptied cell leak out).
+func TestResetAccumMatchesFresh(t *testing.T) {
+	s := NewSet()
+	s.Observe("a", 5)
+	s.AccumRef("bound")
+	s.Reset()
+	want := *NewSet().Accum("a")
+	for _, k := range []string{"a", "bound"} {
+		if got := *s.Accum(k); got != want {
+			t.Fatalf("Accum(%q) after reset = %+v, fresh set gives %+v", k, got, want)
+		}
+	}
+	if got := s.Accum("a").Mean(); got != 0 {
+		t.Fatalf("mean after reset = %v, want 0", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -52,9 +51,6 @@ type core struct {
 	// hierarchy and returns here on completion, so steady-state misses
 	// allocate nothing.
 	freeMiss *coreMiss
-
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
-	cLoad, cStore *int64
 }
 
 // coreMiss carries one L1 miss (load or store fill) through the L2. It is
@@ -84,11 +80,6 @@ func newCore(s *Sim, id int, gen workload.Generator, refs int64) *core {
 	}
 	c.l1.SetRecorder(s.ivr)
 	return c
-}
-
-func (c *core) bindHot() {
-	c.cLoad = c.s.st.CounterRef(stats.TsimLoad)
-	c.cStore = c.s.st.CounterRef(stats.TsimStore)
 }
 
 func (c *core) getMiss() *coreMiss {
@@ -190,7 +181,7 @@ func (c *core) issueMem(a workload.Access) {
 	idx := c.instrs
 
 	if a.Write {
-		*c.cStore++
+		*c.s.hs.store++
 		done := t + c.l1Lat
 		c.retireAt(done)
 		c.lastMemDone, c.lastMemPend, c.lastMemIdx = done, false, idx
@@ -208,7 +199,7 @@ func (c *core) issueMem(a workload.Access) {
 		return
 	}
 
-	*c.cLoad++
+	*c.s.hs.load++
 	if c.l1.Lookup(block) {
 		done := t + c.l1Lat
 		c.retireAt(done)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // waiter is anything blocked on an L2 read: the L2 calls complete exactly
@@ -102,11 +101,6 @@ type l2Ctl struct {
 
 	// invCtrCB handles an MC counter-invalidation message (boxed block).
 	invCtrCB func(any)
-
-	// Cached stats cells (bound after warmup reset; see Sim.bindHot).
-	cDataMiss *int64
-	cPrefetch *int64
-	aMissLat  *stats.Accumulator
 }
 
 func newL2Ctl(s *Sim, id int) *l2Ctl {
@@ -132,13 +126,6 @@ func newL2Ctl(s *Sim, id int) *l2Ctl {
 	}
 	l.invCtrCB = func(a any) { l.invalidateCounter(s.unbox(a)) }
 	return l
-}
-
-func (l *l2Ctl) bindHot() {
-	st := l.s.st
-	l.cDataMiss = st.CounterRef(stats.TsimL2DataMiss)
-	l.cPrefetch = st.CounterRef(stats.TsimL2Prefetch)
-	l.aMissLat = st.AccumRef(stats.TsimL2ReadMissLatencyPS)
 }
 
 func (l *l2Ctl) getReq() *readReq {
@@ -293,7 +280,7 @@ func (l *l2Ctl) read(block uint64, isStore bool, tr *obs.Req, w waiter) {
 	req.waiters = append(req.waiters, w)
 	req.holdReq() // MSHR registration; released in finish
 	l.pend[block] = req
-	*l.cDataMiss++
+	*l.s.hs.l2DataMiss++
 	l.s.schedReq(tM, missPathCB, req)
 	// Demand misses train the stride prefetcher; candidates fetch in the
 	// background through the same secure-read machinery.
@@ -316,7 +303,7 @@ func (l *l2Ctl) prefetchInto(block uint64) {
 	req.block, req.missAt = block, tM
 	req.holdReq() // MSHR registration; released in finish
 	l.pend[block] = req
-	*l.cPrefetch++
+	*l.s.hs.l2Prefetch++
 	l.s.schedReq(tM, missPathCB, req)
 }
 
@@ -332,14 +319,14 @@ func (l *l2Ctl) missPath(req *readReq) {
 		if l.aes == nil || s.pol.ShouldOffload(l.aes.QueueDelay()) {
 			req.offload = true
 			req.tr.MarkOffload()
-			s.st.Inc(stats.EmccOffloadQueue)
+			*s.hs.offloadQueue++
 		}
 		// Serial counter lookup in L2 during spare cycles ('J').
 		s.schedReq(tM+s.pol.LookupDelay, counterProbeCB, req)
 	} else if s.cfg.EMCC && s.secure() {
 		// Dynamic EMCC-off (Sec. IV-F): all cryptography at the MC.
 		req.offload = true
-		s.st.Inc(stats.EmccDynamicOffMiss)
+		*s.hs.dynamicOffMiss++
 	}
 
 	// Data request to the block's home LLC slice.
@@ -368,7 +355,7 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 	req.tr.AddSpan(obs.SegCtrProbeL2, req.missAt, t)
 	cb := s.mc.home.CounterBlockOf(req.block)
 	if l.c.Lookup(cb) {
-		s.st.Inc(stats.EmccL2CtrHit)
+		*s.hs.l2CtrHit++
 		req.ctrKnown = true
 		req.ctrReady = t + s.mc.decodeLat
 		req.tr.MarkCtr(obs.CtrAtL2)
@@ -376,8 +363,8 @@ func (l *l2Ctl) counterProbe(req *readReq) {
 		l.maybeStartAES(req)
 		return
 	}
-	s.st.Inc(stats.EmccL2CtrMiss)
-	s.st.Inc(stats.EmccSpecFetch)
+	*s.hs.l2CtrMiss++
+	*s.hs.specFetch++
 	req.tr.Begin(obs.SegCtrFetch, t)
 	j := s.mesh.SliceIndexOf(cb)
 	s.schedReq(t+s.oneway(l.tile, s.slices[j].tile), llcCounterAccessCB, req)
@@ -414,14 +401,14 @@ func (l *l2Ctl) missNote(req *readReq) {
 // insertCounter caches a counter block in L2 under the 32 KB cap with the
 // Fig 11 useless-fetch accounting.
 func (l *l2Ctl) insertCounter(cb uint64) {
-	l.s.st.Inc(stats.EmccCtrInserted)
+	*l.s.hs.ctrInserted++
 	v, ok := l.c.Insert(cb, false, addr.KindCounter)
 	if !ok {
 		return
 	}
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.s.hs.useless++
 		}
 		return
 	}
@@ -465,7 +452,7 @@ func (l *l2Ctl) completePlain(req *readReq, fromMC bool) {
 		return
 	}
 	if fromMC {
-		l.s.st.Inc(stats.EmccDecryptAtMC)
+		*l.s.hs.decryptAtMC++
 		if l.monitor != nil {
 			l.monitor.OnDRAMFill()
 		}
@@ -495,10 +482,10 @@ func (l *l2Ctl) maybeFinishCipher(req *readReq) {
 	if req.aesDone > at {
 		at = req.aesDone
 	}
-	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(at-req.cipherAt))
+	l.s.hs.cryptoExposureL2.Observe(float64(at - req.cipherAt))
 	req.tr.MarkDecrypt(obs.DecAtL2, req.cipherAt, at)
 	at += sim.NS(1)
-	l.s.st.Inc(stats.EmccDecryptAtL2)
+	*l.s.hs.decryptAtL2++
 	req.finishAt = at
 	l.s.schedReq(at, finishCipherCB, req)
 }
@@ -514,8 +501,8 @@ func (l *l2Ctl) bipbipArrived(req *readReq) {
 	}
 	at := l.s.eng.Now()
 	done := at + l.s.mc.bipbipLat
-	l.s.st.Inc(stats.BipBipDecryptOps)
-	l.s.st.Observe(stats.TsimCryptoExposureL2PS, float64(done-at))
+	*l.s.hs.bipbipDecrypt++
+	l.s.hs.cryptoExposureL2.Observe(float64(done - at))
 	req.tr.MarkDecrypt(obs.DecAtL2, at, done)
 	req.tr.AddSpan(obs.SegBipBipCipher, at, done)
 	req.finishAt = done
@@ -533,7 +520,7 @@ func (l *l2Ctl) finish(req *readReq, at sim.Time) {
 		delete(l.pend, req.block)
 	}
 	if !req.isStore && len(req.waiters) > 0 {
-		l.aMissLat.Observe(float64(at - req.missAt))
+		l.s.hs.l2ReadMissLat.Observe(float64(at - req.missAt))
 	}
 	for _, w := range req.waiters {
 		w.complete(at)
@@ -556,7 +543,7 @@ func (l *l2Ctl) fill(block uint64, dirty bool, at sim.Time) {
 func (l *l2Ctl) spillVictim(v cache.Victim) {
 	if v.Kind == addr.KindCounter {
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.s.hs.useless++
 		}
 		return
 	}
@@ -577,9 +564,9 @@ func (l *l2Ctl) spillVictim(v cache.Victim) {
 // invalidateCounter handles an MC counter-update invalidation (Fig 23).
 func (l *l2Ctl) invalidateCounter(cb uint64) {
 	if v, ok := l.c.Invalidate(cb); ok {
-		l.s.st.Inc(stats.EmccInvalidations)
+		*l.s.hs.invalidations++
 		if !v.WasUsed {
-			l.s.st.Inc(stats.EmccUseless)
+			*l.s.hs.useless++
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // llcSlice is one LLC slice: a real tag-store shard on its own mesh tile,
@@ -62,7 +61,7 @@ func (s *Sim) buildSlices() {
 func (g *llcSlice) dataAccess(req *readReq) {
 	s := g.s
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimLLCDataAccess)
+	*s.hs.llcDataAccess++
 	if g.c.Lookup(req.block) {
 		// On-chip data is already decrypted and verified.
 		req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat+g.dataLat)
@@ -71,7 +70,7 @@ func (g *llcSlice) dataAccess(req *readReq) {
 		s.schedReq(arr, completePlainLocalCB, req)
 		return
 	}
-	s.st.Inc(stats.TsimLLCDataMiss)
+	*s.hs.llcDataMiss++
 	req.tr.MarkLLCMiss()
 	req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat)
 	if s.cfg.EMCC && s.secure() {
@@ -94,18 +93,18 @@ func (g *llcSlice) dataAccess(req *readReq) {
 func (g *llcSlice) counterAccessFromL2(req *readReq, cb uint64) {
 	s := g.s
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimCtrLLCLookup)
-	s.st.Inc(stats.TsimCtrSpecLLCLookup)
+	*s.hs.ctrLLCLookup++
+	*s.hs.ctrSpecLLCLookup++
 	if g.c.Lookup(cb) {
-		s.st.Inc(stats.TsimCtrLLCHit)
-		s.st.Inc(stats.TsimCtrSpecLLCHit)
+		*s.hs.ctrLLCHit++
+		*s.hs.ctrSpecLLCHit++
 		req.tr.MarkCtr(obs.CtrAtLLC)
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, req.l2.tile)
 		s.schedReq(arr, counterArrivedCB, req)
 		return
 	}
-	s.st.Inc(stats.TsimCtrLLCMiss)
-	s.st.Inc(stats.TsimCtrSpecLLCMiss)
+	*s.hs.ctrLLCMiss++
+	*s.hs.ctrSpecLLCMiss++
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(cb))
 	s.schedReq(t+g.tagLat+s.oneway(g.tile, mcTile), counterMissCB, req)
 }
@@ -118,15 +117,15 @@ func (g *llcSlice) handleMetaProbe(a any) {
 	s := g.s
 	mb := s.unbox(a)
 	t := s.eng.Now()
-	s.st.Inc(stats.TsimCtrLLCLookup)
+	*s.hs.ctrLLCLookup++
 	mcTile := s.mesh.MCTile(s.mesh.MCOf(mb))
 	if g.c.Lookup(mb) {
-		s.st.Inc(stats.TsimCtrLLCHit)
+		*s.hs.ctrLLCHit++
 		arr := t + g.tagLat + g.dataLat + g.payloadPen + s.oneway(g.tile, mcTile)
 		s.atCall(arr, s.mc.metaProbeDoneCB, s.box(mb<<1|1))
 		return
 	}
-	s.st.Inc(stats.TsimCtrLLCMiss)
+	*s.hs.ctrLLCMiss++
 	s.atCall(t+g.tagLat+s.oneway(g.tile, mcTile), s.mc.metaProbeDoneCB, s.box(mb<<1))
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // mcCtl is the timing model of the secure memory controller: the private
@@ -315,7 +314,7 @@ func (m *mcCtl) dataRead(req *readReq, confirmed bool) {
 	// Sec. V: the MC rejects incoming LLC requests while a third
 	// overflow is outstanding.
 	if m.ovf != nil && m.ovf.Blocked() {
-		m.s.st.Inc(stats.TsimMCRejectedWhileBlocked)
+		*m.s.hs.mcRejectedWhileBlocked++
 		req.tr.Begin(obs.SegMCQueue, m.s.eng.Now())
 		retry := mcDataReadSpecCB
 		if confirmed {
@@ -345,7 +344,7 @@ func (m *mcCtl) dataRead(req *readReq, confirmed bool) {
 	m.pendData[req.block] = p
 	// One fill per MSHR entry: internal/check's conservation rule compares
 	// this against the DRAM model's issued data reads after drain.
-	m.s.st.Inc(stats.TsimMCDataFill)
+	*m.s.hs.mcDataFill++
 	m.enqueueDRAM(req.block, false, dram.TrafficData, req.tr, p.fillDone)
 	if confirmed {
 		m.confirm(p)
@@ -431,7 +430,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		if p.aesDone > leave {
 			leave = p.aesDone
 		}
-		m.s.st.Observe(stats.TsimCryptoExposureMCPS, (leave - p.dataAt).Nanoseconds())
+		m.s.hs.cryptoExposureMC.Observe((leave - p.dataAt).Nanoseconds())
 		for _, r := range p.reqs {
 			r.tr.MarkDecrypt(obs.DecAtMC, p.dataAt, leave)
 		}
@@ -442,8 +441,8 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		// only start once the ciphertext is on-chip, so the whole pass
 		// (queue + geometry-derived compute) is exposed by construction.
 		leave = m.aes.Reserve(m.insramOps, p.dataAt)
-		m.s.st.Inc(stats.InSRAMDecryptOps)
-		m.s.st.Observe(stats.TsimCryptoExposureMCPS, (leave - p.dataAt).Nanoseconds())
+		*m.s.hs.insramDecrypt++
+		m.s.hs.cryptoExposureMC.Observe((leave - p.dataAt).Nanoseconds())
 		for _, r := range p.reqs {
 			r.tr.MarkDecrypt(obs.DecAtMC, p.dataAt, leave)
 			r.tr.AddSpan(obs.SegInSRAMCipher, p.dataAt, leave)
@@ -486,7 +485,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 // still can, and in any case resolves, verifies and distributes the
 // counter block to the LLC and the requesting L2 (Sec. IV-D).
 func (m *mcCtl) counterMissFromL2(req *readReq, cb uint64) {
-	m.s.st.Inc(stats.TsimCtrMissOnchip)
+	*m.s.hs.ctrMissOnchip++
 	req.tr.MarkCtr(obs.CtrAtMC)
 	if p := m.pendData[req.block]; p != nil && !p.responded && !p.needCrypto {
 		// The counter request is real (not speculative): the MC can
@@ -646,11 +645,11 @@ func (m *mcCtl) writebackData(block uint64) {
 	case m.s.cfg.Counter == config.CtrBipBip:
 		// Dedicated cipher pipeline in the controller: off the critical
 		// path, no shared pool to queue on, no counter to advance.
-		m.s.st.Inc(stats.BipBipEncryptOps)
+		*m.s.hs.bipbipEncrypt++
 	case m.s.cfg.Counter == config.CtrInSRAM:
 		// Background-priority encryption on the in-SRAM arrays.
 		m.aes.ReserveLow(m.insramOps, m.s.eng.Now())
-		m.s.st.Inc(stats.InSRAMEncryptOps)
+		*m.s.hs.insramEncrypt++
 	}
 	m.enqueueDRAM(block, true, dram.TrafficData, nil, nil)
 }
@@ -702,7 +701,7 @@ func (m *mcCtl) enqueueDRAM(block uint64, write bool, kind dram.TrafficKind, ob 
 // queue-full retries.
 func (m *mcCtl) enqueueReq(r *dram.Request) {
 	if !m.s.dram.Enqueue(r) {
-		m.s.st.Inc(stats.TsimDRAMQueueFullRetry)
+		*m.s.hs.dramQueueFullRetry++
 		r.Obs.Begin(obs.SegMCQueue, m.s.eng.Now())
 		m.s.eng.After(sim.NS(100), func() { m.enqueueReq(r) })
 		return

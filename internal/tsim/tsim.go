@@ -91,6 +91,71 @@ type Sim struct {
 	recPeriod sim.Time
 
 	warming bool // functional warmup in progress: no timing, no traffic
+
+	hs hotCells
+}
+
+// hotCells are the stats cells the timed paths bump, bound once in New (a
+// cell stays bound across warm's stats Reset).
+type hotCells struct {
+	// Cores and L2 data path.
+	load, store            *int64
+	l2DataMiss, l2Prefetch *int64
+	l2ReadMissLat          *stats.Accumulator
+	// EMCC L2 counter path and decrypt placement.
+	offloadQueue, dynamicOffMiss *int64
+	l2CtrHit, l2CtrMiss          *int64
+	specFetch, ctrInserted       *int64
+	useless, invalidations       *int64
+	decryptAtL2, decryptAtMC     *int64
+	// Counter-free direct-cipher designs.
+	bipbipDecrypt, bipbipEncrypt *int64
+	insramDecrypt, insramEncrypt *int64
+	// LLC data and counter probes.
+	llcDataAccess, llcDataMiss                      *int64
+	ctrLLCLookup, ctrLLCHit, ctrLLCMiss             *int64
+	ctrSpecLLCLookup, ctrSpecLLCHit, ctrSpecLLCMiss *int64
+	// MC.
+	mcRejectedWhileBlocked, mcDataFill *int64
+	ctrMissOnchip, dramQueueFullRetry  *int64
+	// Exposed cipher latency at the L2 and at the MC.
+	cryptoExposureL2, cryptoExposureMC *stats.Accumulator
+}
+
+func (h *hotCells) bindHot(st *stats.Set) {
+	h.load = st.CounterRef(stats.TsimLoad)
+	h.store = st.CounterRef(stats.TsimStore)
+	h.l2DataMiss = st.CounterRef(stats.TsimL2DataMiss)
+	h.l2Prefetch = st.CounterRef(stats.TsimL2Prefetch)
+	h.l2ReadMissLat = st.AccumRef(stats.TsimL2ReadMissLatencyPS)
+	h.offloadQueue = st.CounterRef(stats.EmccOffloadQueue)
+	h.dynamicOffMiss = st.CounterRef(stats.EmccDynamicOffMiss)
+	h.l2CtrHit = st.CounterRef(stats.EmccL2CtrHit)
+	h.l2CtrMiss = st.CounterRef(stats.EmccL2CtrMiss)
+	h.specFetch = st.CounterRef(stats.EmccSpecFetch)
+	h.ctrInserted = st.CounterRef(stats.EmccCtrInserted)
+	h.useless = st.CounterRef(stats.EmccUseless)
+	h.invalidations = st.CounterRef(stats.EmccInvalidations)
+	h.decryptAtL2 = st.CounterRef(stats.EmccDecryptAtL2)
+	h.decryptAtMC = st.CounterRef(stats.EmccDecryptAtMC)
+	h.bipbipDecrypt = st.CounterRef(stats.BipBipDecryptOps)
+	h.bipbipEncrypt = st.CounterRef(stats.BipBipEncryptOps)
+	h.insramDecrypt = st.CounterRef(stats.InSRAMDecryptOps)
+	h.insramEncrypt = st.CounterRef(stats.InSRAMEncryptOps)
+	h.llcDataAccess = st.CounterRef(stats.TsimLLCDataAccess)
+	h.llcDataMiss = st.CounterRef(stats.TsimLLCDataMiss)
+	h.ctrLLCLookup = st.CounterRef(stats.TsimCtrLLCLookup)
+	h.ctrLLCHit = st.CounterRef(stats.TsimCtrLLCHit)
+	h.ctrLLCMiss = st.CounterRef(stats.TsimCtrLLCMiss)
+	h.ctrSpecLLCLookup = st.CounterRef(stats.TsimCtrSpecLLCLookup)
+	h.ctrSpecLLCHit = st.CounterRef(stats.TsimCtrSpecLLCHit)
+	h.ctrSpecLLCMiss = st.CounterRef(stats.TsimCtrSpecLLCMiss)
+	h.mcRejectedWhileBlocked = st.CounterRef(stats.TsimMCRejectedWhileBlocked)
+	h.mcDataFill = st.CounterRef(stats.TsimMCDataFill)
+	h.ctrMissOnchip = st.CounterRef(stats.TsimCtrMissOnchip)
+	h.dramQueueFullRetry = st.CounterRef(stats.TsimDRAMQueueFullRetry)
+	h.cryptoExposureL2 = st.AccumRef(stats.TsimCryptoExposureL2PS)
+	h.cryptoExposureMC = st.AccumRef(stats.TsimCryptoExposureMCPS)
 }
 
 // New builds a timing simulation.
@@ -146,20 +211,8 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.l2s = append(s.l2s, l2)
 		s.cpus = append(s.cpus, newCore(s, c, gens[c], perCore))
 	}
-	s.bindHot()
+	s.hs.bindHot(s.st)
 	return s, nil
-}
-
-// bindHot (re-)binds the cached stats cells the hot paths bump directly.
-// Called at construction (warmup's functional helpers share some keys) and
-// again after warm's stats Reset, which invalidates every cell.
-func (s *Sim) bindHot() {
-	for _, c := range s.cpus {
-		c.bindHot()
-	}
-	for _, l2 := range s.l2s {
-		l2.bindHot()
-	}
 }
 
 // Stats exposes collected metrics.
@@ -203,9 +256,6 @@ func (s *Sim) Engine() *sim.Engine { return s.eng }
 // summarises.
 func (s *Sim) Run() Result {
 	s.warm(s.opt.Warmup)
-	// warm resets the stats set at the measurement boundary, which strands
-	// every cached cell; re-bind before any timed event fires.
-	s.bindHot()
 	for _, c := range s.cpus {
 		c.start()
 	}
