@@ -1,6 +1,7 @@
 package check
 
 import (
+	"repro/internal/config"
 	"repro/internal/fsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -15,13 +16,13 @@ import (
 // per-request accounting must show a completely silent counter lane
 // (no ctr-probe, no ctr-fetch, no counter-AES queue/compute spans, no
 // counter-source classification) while the design's own cipher segment is
-// the only crypto-lane work and lands at the right site (L2 for BipBip,
-// MC for in-SRAM AES).
+// the only crypto-lane work and lands at the design's decrypt site (L2 for
+// BipBip, MC for in-SRAM AES).
 func counterFreeAcceptance(system string, opt Options) []Result {
 	opt = opt.withDefaults()
 	name := func(rule string) string { return system + "-counter-free/" + rule }
-	cfg, err := systemConfig(system)
-	if err != nil {
+	cfg := config.Default()
+	if err := config.ApplySystem(&cfg, system); err != nil {
 		return []Result{failf(PillarDifferential, name("config"), "%v", err)}
 	}
 
@@ -100,7 +101,7 @@ func counterFreeAcceptance(system string, opt Options) []Result {
 	// 3. The design's own cipher is visible, at the right site only.
 	ownSeg, otherSeg := obs.SegInSRAMCipher, obs.SegBipBipCipher
 	ownSite, otherSite := stats.ObsDecryptAtMC, stats.ObsDecryptAtL2
-	if system == "bipbip" {
+	if cfg.Counter.DecryptSite() == config.DecryptDirectL2 {
 		ownSeg, otherSeg = otherSeg, ownSeg
 		ownSite, otherSite = otherSite, ownSite
 	}

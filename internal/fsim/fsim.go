@@ -12,7 +12,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/config"
-	"repro/internal/emcc"
 	"repro/internal/inv"
 	"repro/internal/mc"
 	"repro/internal/noc"
@@ -53,7 +52,6 @@ type Sim struct {
 	mesh *noc.Mesh
 	llc  []*cache.Cache // per-slice shards, mesh.SliceIndexOf geometry
 	home *mc.Home
-	pol  emcc.Policy
 	gens []workload.Generator
 
 	trc      *obs.Tracer // nil = tracing disabled
@@ -104,14 +102,10 @@ func (h *hotCells) bindHot(st *stats.Set, ctr config.CounterDesign) {
 	h.ctrInserted = st.CounterRef(stats.EmccCtrInserted)
 	h.useless = st.CounterRef(stats.EmccUseless)
 	h.invalidations = st.CounterRef(stats.EmccInvalidations)
-	switch ctr {
-	case config.CtrBipBip:
-		h.directDecrypt = st.CounterRef(stats.BipBipDecryptOps)
-		h.directEncrypt = st.CounterRef(stats.BipBipEncryptOps)
-	case config.CtrInSRAM:
-		h.directDecrypt = st.CounterRef(stats.InSRAMDecryptOps)
-		h.directEncrypt = st.CounterRef(stats.InSRAMEncryptOps)
-	default: // no cipher to count (non-secure)
+	if dec, enc := ctr.CipherKeys(); dec != "" {
+		h.directDecrypt = st.CounterRef(dec) //lint:dynamic-key selected from the registered config design table
+		h.directEncrypt = st.CounterRef(enc) //lint:dynamic-key selected from the registered config design table
+	} else { // no cipher to count (non-secure)
 		h.directDecrypt, h.directEncrypt = new(int64), new(int64)
 	}
 }
@@ -178,13 +172,12 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.l2 = append(s.l2, l2)
 	}
 	// Only counter-backed designs build the metadata home; the counter-free
-	// direct-cipher designs (CtrBipBip, CtrInSRAM) have no counters, tree or
-	// metadata cache to model.
+	// direct-cipher designs have no counters, tree or metadata cache to
+	// model.
 	if cfg.Counter.HasCounters() {
 		s.home = mc.NewHome(cfg, dataBytes)
 		s.home.SetRecorder(rec)
 	}
-	s.pol = emcc.Policy{L2CounterCap: cfg.EMCCL2CounterBytes}
 	s.hs.bindHot(s.st, cfg.Counter)
 	return s, nil
 }
@@ -275,7 +268,7 @@ func (s *Sim) access(core int, a workload.Access) {
 	if s.home != nil {
 		s.counterForDataRead(core, block)
 	} else {
-		s.directDecrypt()
+		*s.hs.directDecrypt++
 	}
 	s.fillL2(core, block, false)
 	s.fillL1(core, block, a.Write)

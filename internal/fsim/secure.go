@@ -142,21 +142,13 @@ func (s *Sim) writebackMeta(mb uint64) {
 	s.bumpCounter(mb)
 }
 
-// directDecrypt accounts one per-block cipher operation for the
-// counter-free designs on a DRAM data fill (no counter to resolve, no
-// metadata traffic — just the block cipher itself).
-func (s *Sim) directDecrypt() { *s.hs.directDecrypt++ }
-
-// directEncrypt is directDecrypt's writeback counterpart.
-func (s *Sim) directEncrypt() { *s.hs.directEncrypt++ }
-
 // writebackData is a dirty data block reaching DRAM: one data write, the
 // block's counter update, and — under EMCC — invalidation of the counter
 // block's L2 copies (Sec. IV-C, Fig 23).
 func (s *Sim) writebackData(db uint64) {
 	*s.hs.dramDataWrite++
 	if s.home == nil {
-		s.directEncrypt()
+		*s.hs.directEncrypt++ // counter-free: the block cipher only
 		return
 	}
 	s.bumpCounter(db)

@@ -246,9 +246,9 @@ func cipherArrivedCB(x any) {
 	req.release()
 }
 
-func bipbipArrivedCB(x any) {
+func directArrivedCB(x any) {
 	req := x.(*readReq)
-	req.l2.bipbipArrived(req)
+	req.l2.directArrived(req)
 	req.release()
 }
 
@@ -312,7 +312,7 @@ func (l *l2Ctl) missPath(req *readReq) {
 	s := l.s
 	tM := s.eng.Now()
 
-	emccOn := s.cfg.EMCC && s.secure() && (l.monitor == nil || l.monitor.Enabled())
+	emccOn := s.cfg.EMCC && (l.monitor == nil || l.monitor.Enabled())
 	if emccOn {
 		// Adaptive offload decision (Sec. IV-D): the bit travels with
 		// the miss request.
@@ -323,7 +323,7 @@ func (l *l2Ctl) missPath(req *readReq) {
 		}
 		// Serial counter lookup in L2 during spare cycles ('J').
 		s.schedReq(tM+s.pol.LookupDelay, counterProbeCB, req)
-	} else if s.cfg.EMCC && s.secure() {
+	} else if s.cfg.EMCC {
 		// Dynamic EMCC-off (Sec. IV-F): all cryptography at the MC.
 		req.offload = true
 		*s.hs.dynamicOffMiss++
@@ -490,18 +490,18 @@ func (l *l2Ctl) maybeFinishCipher(req *readReq) {
 	l.s.schedReq(at, finishCipherCB, req)
 }
 
-// bipbipArrived handles a ciphertext response under CtrBipBip: the cache
-// controller's tweakable cipher decrypts the block in a fixed BipBipLatency.
-// With no counter to pre-resolve and no OTP to precompute, the full cipher
-// pass sits on the critical path — the design's bet is that the pass is
-// short enough not to matter.
-func (l *l2Ctl) bipbipArrived(req *readReq) {
+// directArrived handles a ciphertext response under a direct cipher at L2
+// (BipBip): the cache controller's tweakable cipher decrypts the block in
+// its fixed latency. With no counter to pre-resolve and no OTP to
+// precompute, the full cipher pass sits on the critical path — the design's
+// bet is that the pass is short enough not to matter.
+func (l *l2Ctl) directArrived(req *readReq) {
 	if req.completed {
 		return
 	}
 	at := l.s.eng.Now()
-	done := at + l.s.mc.bipbipLat
-	*l.s.hs.bipbipDecrypt++
+	done := at + l.s.mc.cipher.Latency
+	*l.s.hs.directDecrypt++
 	l.s.hs.cryptoExposureL2.Observe(float64(done - at))
 	req.tr.MarkDecrypt(obs.DecAtL2, at, done)
 	req.tr.AddSpan(obs.SegBipBipCipher, at, done)

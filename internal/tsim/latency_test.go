@@ -136,10 +136,11 @@ func TestSingleColdMissLatencyInSRAM(t *testing.T) {
 	// AESPool.Reserve(n, at) on an idle pool: last op issues at
 	// at + (n-1)*interval and completes after the pool latency.
 	lanes := int64(cfg.BlockSize / 16)
-	interval := sim.Time(float64(sim.Second)/config.InSRAMAESOpsPerSec(&cfg) + 0.5)
+	dc := cfg.DirectCipher()
+	interval := sim.Time(float64(sim.Second)/dc.OpsPerSec + 0.5)
 	want := (nonSecureColdMiss(s, target) +
 		sim.Time(lanes-1)*interval + // lane serialisation on the SRAM arrays
-		config.InSRAMAESLatency(&cfg) + // one full AES pass
+		dc.Latency + // one full AES pass
 		sim.NS(1)). // MC response tick
 		Nanoseconds()
 	got := s.st.Accum("tsim/l2-read-miss-latency-ps").Mean() / 1000

@@ -73,7 +73,7 @@ func (g *llcSlice) dataAccess(req *readReq) {
 	*s.hs.llcDataMiss++
 	req.tr.MarkLLCMiss()
 	req.tr.AddSpan(obs.SegLLCProbe, t, t+g.tagLat)
-	if s.cfg.EMCC && s.secure() {
+	if s.cfg.EMCC {
 		// Tell the requesting L2 its data access missed here: the miss
 		// note marks the L2's counter copy useful (Fig 11) and sets the
 		// request's llcMissed bit — state only the owning L2 may touch.

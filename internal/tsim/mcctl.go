@@ -24,10 +24,9 @@ type mcCtl struct {
 	ctrCacheLat sim.Time
 	decodeLat   sim.Time
 
-	// Counter-free direct-cipher state (cached at construction so the hot
-	// paths never re-derive them).
-	bipbipLat sim.Time // CtrBipBip: fixed cipher latency charged at L2
-	insramOps int      // CtrInSRAM: 16 B lanes per block reserved per access
+	// cipher is the counter-free direct cipher's parameters (cached at
+	// construction so the hot paths never re-derive them).
+	cipher config.Cipher
 
 	pendData map[uint64]*mcDataPending
 	pendMeta map[uint64]*metaFetch
@@ -243,26 +242,18 @@ func newMCCtl(s *Sim, dataBytes int64) *mcCtl {
 	m.wbDataCB = m.handleWBData
 	m.wbMetaCB = m.handleWBMeta
 	m.metaProbeDoneCB = m.handleMetaProbeDone
-	if !s.secure() {
+	switch s.site {
+	case config.DecryptNone:
 		return m
-	}
-	switch s.cfg.Counter {
-	case config.CtrBipBip:
-		// Counter-free cipher in the cache controller: no metadata home,
-		// no MC AES pool, no overflow engine. Decryption is charged at L2
-		// on fill (see l2Ctl.bipbipArrived); encryption on writeback is
-		// dedicated pipeline hardware, so only the op count is recorded.
-		m.bipbipLat = s.cfg.BipBipLatency
-		return m
-	case config.CtrInSRAM:
-		// Direct in-SRAM AES at the MC: the pool's latency and bandwidth
-		// derive from the SRAM geometry instead of the fixed AESLatency.
-		// No metadata home or overflow engine either.
-		m.insramOps = int(s.cfg.BlockSize / 16)
-		if m.insramOps < 1 {
-			m.insramOps = 1
+	case config.DecryptDirectL2, config.DecryptDirectMC:
+		// Counter-free direct cipher: no metadata home, no overflow
+		// engine. A cipher with pool bandwidth gets the MC's pool at its
+		// own latency (in-SRAM AES: both derive from the SRAM geometry);
+		// a dedicated pipeline has no pool to queue on.
+		m.cipher = s.cfg.DirectCipher()
+		if m.cipher.OpsPerSec > 0 {
+			m.aes = mc.NewAESPool(s.eng, m.cipher.OpsPerSec, m.cipher.Latency)
 		}
-		m.aes = mc.NewAESPool(s.eng, config.InSRAMAESOpsPerSec(s.cfg), config.InSRAMAESLatency(s.cfg))
 		return m
 	}
 	m.home = mc.NewHome(s.cfg, dataBytes)
@@ -365,8 +356,8 @@ func (m *mcCtl) confirm(p *mcDataPending) {
 // decrypt/verify path for this read: always for counter-backed designs
 // outside EMCC; under EMCC only when the miss request carries the offload
 // bit (counter-miss upgrades arrive via counterMissFromL2). The counter-free
-// designs never take it — CtrInSRAM's direct cipher is charged in
-// maybeRespond and CtrBipBip decrypts at L2.
+// designs never take it — a direct cipher at the MC is charged in
+// maybeRespond, one at L2 on arrival there.
 func (m *mcCtl) reqNeedsMCCrypto(req *readReq) bool {
 	if !m.s.counters() {
 		return false
@@ -420,7 +411,7 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 
 	var leave sim.Time
 	tagged := false
-	bipbip := false
+	atL2 := false
 	switch {
 	case !m.s.secure():
 		leave = p.dataAt
@@ -436,12 +427,12 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		}
 		leave += sim.NS(1)
 		tagged = true
-	case m.s.cfg.Counter == config.CtrInSRAM:
-		// Direct in-SRAM AES: unlike counter-mode OTPs, the cipher can
-		// only start once the ciphertext is on-chip, so the whole pass
-		// (queue + geometry-derived compute) is exposed by construction.
-		leave = m.aes.Reserve(m.insramOps, p.dataAt)
-		*m.s.hs.insramDecrypt++
+	case m.s.site == config.DecryptDirectMC:
+		// Direct cipher at the MC (in-SRAM AES): unlike counter-mode
+		// OTPs, the cipher can only start once the ciphertext is on-chip,
+		// so the whole pass (queue + compute) is exposed by construction.
+		leave = m.aes.Reserve(m.cipher.Lanes, p.dataAt)
+		*m.s.hs.directDecrypt++
 		m.s.hs.cryptoExposureMC.Observe((leave - p.dataAt).Nanoseconds())
 		for _, r := range p.reqs {
 			r.tr.MarkDecrypt(obs.DecAtMC, p.dataAt, leave)
@@ -449,11 +440,11 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		}
 		leave += sim.NS(1)
 		tagged = true
-	case m.s.cfg.Counter == config.CtrBipBip:
-		// Ciphertext is forwarded as-is; the cache controller's tweakable
-		// cipher decrypts on arrival at L2 (bipbipArrived).
+	case m.s.site == config.DecryptDirectL2:
+		// Ciphertext is forwarded as-is; the cache controller's cipher
+		// decrypts on arrival at L2 (directArrived).
 		leave = p.dataAt + sim.NS(1)
-		bipbip = true
+		atL2 = true
 	default:
 		// EMCC untagged response: compute the ciphertext dot product
 		// and embed MAC⊕dot (Sec. IV-D).
@@ -467,8 +458,8 @@ func (m *mcCtl) maybeRespond(p *mcDataPending) {
 		arrival = completePlainLocalCB
 	case tagged:
 		arrival = completePlainMCCB
-	case bipbip:
-		arrival = bipbipArrivedCB
+	case atL2:
+		arrival = directArrivedCB
 	}
 	mcTile := m.s.mesh.MCTile(m.s.mesh.MCOf(p.block))
 	slice := m.s.sliceFor(p.block).tile
@@ -638,18 +629,18 @@ func (m *mcCtl) writebackData(block uint64) {
 		}
 		return
 	}
-	switch {
-	case m.s.counters():
+	switch m.s.site {
+	case config.DecryptCounterMode:
 		m.aes.ReserveLow(emcc.AESOpsPerWrite, m.s.eng.Now())
 		m.bumpCounter(block, true)
-	case m.s.cfg.Counter == config.CtrBipBip:
-		// Dedicated cipher pipeline in the controller: off the critical
-		// path, no shared pool to queue on, no counter to advance.
-		*m.s.hs.bipbipEncrypt++
-	case m.s.cfg.Counter == config.CtrInSRAM:
-		// Background-priority encryption on the in-SRAM arrays.
-		m.aes.ReserveLow(m.insramOps, m.s.eng.Now())
-		*m.s.hs.insramEncrypt++
+	case config.DecryptDirectL2, config.DecryptDirectMC:
+		// Direct encryption, no counter to advance: background priority
+		// on the cipher's pool, or off the critical path in a dedicated
+		// pipeline with no pool to queue on.
+		if m.aes != nil {
+			m.aes.ReserveLow(m.cipher.Lanes, m.s.eng.Now())
+		}
+		*m.s.hs.directEncrypt++
 	}
 	m.enqueueDRAM(block, true, dram.TrafficData, nil, nil)
 }

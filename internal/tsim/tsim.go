@@ -84,8 +84,9 @@ type Sim struct {
 	l2s     []*l2Ctl
 	cpus    []*core
 	pol     emcc.Policy
-	ivr     *inv.Recorder // this run's invariant recorder (never nil)
-	trc     *obs.Tracer   // nil = tracing disabled (the common case)
+	site    config.DecryptSite // where the design deciphers a DRAM fill
+	ivr     *inv.Recorder      // this run's invariant recorder (never nil)
+	trc     *obs.Tracer        // nil = tracing disabled (the common case)
 
 	rec       *metrics.Recorder // nil = flight recording disabled
 	recPeriod sim.Time
@@ -108,9 +109,8 @@ type hotCells struct {
 	specFetch, ctrInserted       *int64
 	useless, invalidations       *int64
 	decryptAtL2, decryptAtMC     *int64
-	// Counter-free direct-cipher designs.
-	bipbipDecrypt, bipbipEncrypt *int64
-	insramDecrypt, insramEncrypt *int64
+	// Counter-free direct cipher (nil without one).
+	directDecrypt, directEncrypt *int64
 	// LLC data and counter probes.
 	llcDataAccess, llcDataMiss                      *int64
 	ctrLLCLookup, ctrLLCHit, ctrLLCMiss             *int64
@@ -122,7 +122,7 @@ type hotCells struct {
 	cryptoExposureL2, cryptoExposureMC *stats.Accumulator
 }
 
-func (h *hotCells) bindHot(st *stats.Set) {
+func (h *hotCells) bindHot(st *stats.Set, ctr config.CounterDesign) {
 	h.load = st.CounterRef(stats.TsimLoad)
 	h.store = st.CounterRef(stats.TsimStore)
 	h.l2DataMiss = st.CounterRef(stats.TsimL2DataMiss)
@@ -138,10 +138,10 @@ func (h *hotCells) bindHot(st *stats.Set) {
 	h.invalidations = st.CounterRef(stats.EmccInvalidations)
 	h.decryptAtL2 = st.CounterRef(stats.EmccDecryptAtL2)
 	h.decryptAtMC = st.CounterRef(stats.EmccDecryptAtMC)
-	h.bipbipDecrypt = st.CounterRef(stats.BipBipDecryptOps)
-	h.bipbipEncrypt = st.CounterRef(stats.BipBipEncryptOps)
-	h.insramDecrypt = st.CounterRef(stats.InSRAMDecryptOps)
-	h.insramEncrypt = st.CounterRef(stats.InSRAMEncryptOps)
+	if dec, enc := ctr.CipherKeys(); dec != "" {
+		h.directDecrypt = st.CounterRef(dec) //lint:dynamic-key selected from the registered config design table
+		h.directEncrypt = st.CounterRef(enc) //lint:dynamic-key selected from the registered config design table
+	}
 	h.llcDataAccess = st.CounterRef(stats.TsimLLCDataAccess)
 	h.llcDataMiss = st.CounterRef(stats.TsimLLCDataMiss)
 	h.ctrLLCLookup = st.CounterRef(stats.TsimCtrLLCLookup)
@@ -196,6 +196,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		eng:  sim.New(),
 		st:   stats.NewSet(),
 		mesh: noc.New(cfg.MeshCols, cfg.MeshRows, cfg.NoCHopLatency, cfg.NoCBaseOneWay),
+		site: cfg.Counter.DecryptSite(),
 		ivr:  inv.Or(opt.Recorder),
 	}
 	// Bind the run's recorder to the engine before any component grabs it:
@@ -211,7 +212,7 @@ func New(cfg *config.Config, opt Options) (*Sim, error) {
 		s.l2s = append(s.l2s, l2)
 		s.cpus = append(s.cpus, newCore(s, c, gens[c], perCore))
 	}
-	s.hs.bindHot(s.st)
+	s.hs.bindHot(s.st, cfg.Counter)
 	return s, nil
 }
 
@@ -341,16 +342,9 @@ func (s *Sim) samplePoint(now sim.Time) {
 	}
 }
 
-// at schedules fn at the later of t and now (events cannot be scheduled in
-// the past; component handoffs routinely compute times at or before now).
-func (s *Sim) at(t sim.Time, fn func()) {
-	if now := s.eng.Now(); t < now {
-		t = now
-	}
-	s.eng.At(t, fn)
-}
-
-// atCall is the allocation-free sibling of at for prebound callbacks.
+// atCall schedules a prebound callback at the later of t and now (events
+// cannot be scheduled in the past; component handoffs routinely compute
+// times at or before now).
 func (s *Sim) atCall(t sim.Time, fn func(any), arg any) {
 	if now := s.eng.Now(); t < now {
 		t = now
@@ -367,12 +361,12 @@ func (s *Sim) schedReq(t sim.Time, fn func(any), req *readReq) {
 
 // secure reports whether any secure-memory design is active (counter-backed
 // or counter-free direct cipher).
-func (s *Sim) secure() bool { return s.cfg.Counter != config.CtrNone }
+func (s *Sim) secure() bool { return s.site != config.DecryptNone }
 
 // counters reports whether the active design maintains counter metadata —
 // the machinery (counter caches, tree walks, overflow engine, warm counter
 // placement) the counter-free designs must never touch.
-func (s *Sim) counters() bool { return s.cfg.Counter.HasCounters() }
+func (s *Sim) counters() bool { return s.site == config.DecryptCounterMode }
 
 // Convenience latencies.
 func (s *Sim) oneway(a, b noc.NodeID) sim.Time { return s.mesh.OneWay(a, b) }

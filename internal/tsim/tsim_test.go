@@ -122,7 +122,7 @@ func TestInSRAMRunUsesGeometryPool(t *testing.T) {
 	if s.mc.aes == nil {
 		t.Fatal("insram did not build its geometry AES pool")
 	}
-	if got, want := s.mc.aes.Latency(), config.InSRAMAESLatency(s.cfg); got != want {
+	if got, want := s.mc.aes.Latency(), s.cfg.DirectCipher().Latency; got != want {
 		t.Fatalf("pool latency %v, want geometry-derived %v", got, want)
 	}
 	dec := s.st.Counter(stats.InSRAMDecryptOps)

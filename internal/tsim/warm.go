@@ -44,7 +44,7 @@ func (s *Sim) warmAccess(c int, a workload.Access) {
 		return
 	}
 	// L2 miss: EMCC counter-side warm.
-	if s.cfg.EMCC && s.secure() {
+	if s.cfg.EMCC {
 		s.warmCounterProbe(l2, block)
 	}
 	if s.sliceFor(block).c.Lookup(block) {
