@@ -13,13 +13,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
+	"repro/internal/dram"
 	"repro/internal/prov"
 	"repro/internal/run"
 	"repro/internal/sim"
+	"repro/internal/tsim"
 	"repro/internal/workload"
 )
 
@@ -160,15 +164,26 @@ func main() {
 		}
 		fmt.Printf("# timing %s on %s, %d refs\n", cfg.SystemName(), *bench, *refs)
 		fmt.Printf("# %s\n", prov.Line(manifest))
-		fmt.Printf("simulated-time-ms            %.3f\n", res.SimulatedTime.Nanoseconds()/1e6)
-		fmt.Printf("instructions                 %d\n", res.Instructions)
-		fmt.Printf("ipc                          %.3f\n", res.IPC)
-		fmt.Printf("l2-miss-latency-ns           %.2f\n", res.L2MissLatencyNS)
-		fmt.Printf("decrypt-at-l2-frac           %.3f\n", res.DecryptAtL2Frac)
-		for k, v := range res.BusyFraction {
-			fmt.Printf("dram-util/%-18s %.3f\n", k, v)
-		}
+		writeTiming(os.Stdout, res)
 		fmt.Print(o.Stats.Dump())
+	}
+}
+
+// writeTiming renders a timing run's headline lines, with the DRAM
+// utilisation split in dram.TrafficKind order so the output is stable.
+func writeTiming(w io.Writer, res *tsim.Result) {
+	fmt.Fprintf(w, "simulated-time-ms            %.3f\n", res.SimulatedTime.Nanoseconds()/1e6)
+	fmt.Fprintf(w, "instructions                 %d\n", res.Instructions)
+	fmt.Fprintf(w, "ipc                          %.3f\n", res.IPC)
+	fmt.Fprintf(w, "l2-miss-latency-ns           %.2f\n", res.L2MissLatencyNS)
+	fmt.Fprintf(w, "decrypt-at-l2-frac           %.3f\n", res.DecryptAtL2Frac)
+	kinds := make([]dram.TrafficKind, 0, len(res.BusyFraction))
+	for k := range res.BusyFraction {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(w, "dram-util/%-18s %.3f\n", k, res.BusyFraction[k])
 	}
 }
 
