@@ -33,13 +33,12 @@ import (
 )
 
 // suites lists the packages and benchmark selections that feed the
-// artifact. The sim suite carries the legacy baseline pair, so the derived
-// speedups can be computed from one run.
+// artifact.
 var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkLegacyEngineTick|BenchmarkLegacyEngineMixedQueue)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{".", "^(BenchmarkEventEngine|BenchmarkDRAMRandomReads|BenchmarkTimingSimThroughput|BenchmarkTimingSimCoRun|BenchmarkCacheLookupInsert|BenchmarkFunctionalSimThroughput)$"},
@@ -63,9 +62,6 @@ type artifact struct {
 	CPUs       int           `json:"cpus"`
 	Count      int           `json:"count"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// Derived holds ratios the acceptance criteria gate on: the engine
-	// tick and mixed-queue speedups over the container/heap baseline.
-	Derived map[string]float64 `json:"derived"`
 	// Baseline is the prior artifact the deltas below compare against
 	// (the newest BENCH_*.json found, or the -baseline flag), empty when
 	// none was found.
@@ -110,7 +106,6 @@ func main() {
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
 		Count:     *count,
-		Derived:   map[string]float64{},
 	}
 	for _, s := range suites {
 		res, err := runSuite(s.pkg, s.pattern, *count)
@@ -120,7 +115,6 @@ func main() {
 		}
 		art.Benchmarks = append(art.Benchmarks, res...)
 	}
-	derive(&art)
 
 	regressed, err := diffBaseline(&art, *baseline, *failAlloc)
 	if err != nil {
@@ -311,29 +305,4 @@ func parseBenchLine(pkg, line string) (benchResult, bool) {
 		}
 	}
 	return r, true
-}
-
-// derive computes the engine speedups over the retired container/heap
-// baseline from whatever runs are present (means across -count repeats).
-func derive(art *artifact) {
-	mean := func(name string) float64 {
-		var sum float64
-		var n int
-		for _, b := range art.Benchmarks {
-			if b.Name == name {
-				sum += b.NsPerOp
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-	if legacy, tick := mean("LegacyEngineTick"), mean("EngineTickPrebound"); legacy > 0 && tick > 0 {
-		art.Derived["engine_tick_speedup_vs_container_heap"] = legacy / tick
-	}
-	if legacy, mixed := mean("LegacyEngineMixedQueue"), mean("EngineMixedQueue"); legacy > 0 && mixed > 0 {
-		art.Derived["engine_mixed_speedup_vs_container_heap"] = legacy / mixed
-	}
 }

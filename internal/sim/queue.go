@@ -14,14 +14,12 @@ package sim
 // by seq alone and does not depend on heap shape. The parity test in
 // queue_test.go pins this against a container/heap reference.
 
-// event is one scheduled callback. Exactly one of fn and call is set: fn
-// is the At/After closure form; call+arg is the allocation-free prebound
-// form (AtCall/AfterCall) — with a package-level (or otherwise prebound)
-// func and a pointer-typed arg, scheduling allocates nothing.
+// event is one scheduled callback, call(arg). With a package-level (or
+// otherwise prebound) func and a pointer-shaped arg, scheduling allocates
+// nothing; At/After closures ride as the arg of a trampoline.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break so equal-time events run in schedule order
-	fn   func()
 	call func(any)
 	arg  any
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // ---- container/heap reference (the pre-overhaul scheduler) ----
@@ -57,7 +58,7 @@ func TestQueueParityWithLegacyHeap(t *testing.T) {
 				seq++
 				id++
 				capturedID := id
-				q.push(event{at: at, seq: seq, fn: func() { _ = capturedID }, arg: capturedID})
+				q.push(event{at: at, seq: seq, call: func(any) {}, arg: capturedID})
 				heap.Push(&ref, legacyEvent{at: at, seq: seq, id: capturedID})
 			} else {
 				got := q.pop()
@@ -274,9 +275,21 @@ func TestPopReleasesReferences(t *testing.T) {
 	q.pop()
 	tail := q.ev[:2]
 	for i, e := range tail {
-		if e.call != nil || e.arg != nil || e.fn != nil {
+		if e.call != nil || e.arg != nil {
 			t.Fatalf("slot %d retains references after pop: %+v", i, e)
 		}
+	}
+}
+
+// TestEventSize pins the event to (at, seq) plus the one callback form,
+// call(arg): 40 B on 64-bit hosts. The heap moves events by value on every
+// sift, so a second callback field would cost on every push and pop.
+func TestEventSize(t *testing.T) {
+	var call func(any)
+	var arg any
+	want := unsafe.Sizeof(Time(0)) + unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(call) + unsafe.Sizeof(arg)
+	if got := unsafe.Sizeof(event{}); got != want {
+		t.Fatalf("event is %d bytes, want %d", got, want)
 	}
 }
 

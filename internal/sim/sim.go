@@ -4,7 +4,8 @@
 // The engine keeps a monotonically increasing clock in integer picoseconds
 // and a four-ary min-heap of pending events (queue.go). Components
 // schedule closures with At/After, or — on hot paths — prebound callbacks
-// with AtCall/AfterCall, which allocate nothing in steady state. Run
+// with AtCall/AfterCall, which allocate nothing in steady state. Every
+// event stores one callback form, fn(arg); At/After wrap their closure. Run
 // drains the heap in timestamp order (FIFO among equal timestamps, which
 // keeps simulations deterministic).
 package sim
@@ -84,13 +85,13 @@ func (e *Engine) Pending() int { return e.q.len() }
 //
 // The closure form allocates (the closure itself); recurring events on hot
 // paths should use AtCall/AfterCall with a prebound callback instead.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.AtCall(t, runClosure, fn) }
+
+// runClosure is the trampoline that carries At/After closures through the
+// single prebound event form: the closure rides as the argument. A func
+// value is pointer-shaped, so putting it in the interface allocates
+// nothing beyond the closure itself.
+func runClosure(fn any) { fn.(func())() }
 
 // AtCall schedules fn(arg) to run at absolute time t. With fn a
 // package-level function (or any func value that outlives the schedule)
@@ -172,9 +173,5 @@ func (e *Engine) step() {
 	}
 	e.now = ev.at
 	e.steps++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.call(ev.arg)
-	}
+	ev.call(ev.arg)
 }
