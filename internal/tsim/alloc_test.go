@@ -15,7 +15,7 @@ import (
 // request pools have reached their high-water mark, dispatching events
 // through the prebound-callback machinery allocates nothing. The
 // counter-free designs ride that machinery (pooled readReq, prebound
-// bipbipArrivedCB/completePlainMCCB chains), so they must keep both pins.
+// directArrivedCB/completePlainMCCB chains), so they must keep both pins.
 
 // steadyStateAllocs reaches steady state (warmup + 1 ms of timed
 // execution on a cache-resident working set) and measures allocations per
