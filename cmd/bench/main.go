@@ -1,12 +1,12 @@
 // Command bench runs the performance-critical benchmarks — the event-engine
-// micro-benchmarks (prebound vs closure vs the retired container/heap
-// baseline), the telemetry hot path (histogram record/quantile and the
-// flight-recorder interval snapshot), the RMAT graph build, the DRAM
-// channel loop, and the tsim end-to-end throughput, single-benchmark and
-// 4-core co-run — and emits one machine-readable JSON artifact. The
-// BENCH_*.json files in the repo root are earlier artifacts; CI
-// regenerates the artifact on every push and uploads it for trend
-// inspection.
+// micro-benchmarks (prebound vs closure ticks, a deep mixed queue, and the
+// zero-delay/short-delay mix that exercises the now-lane), the telemetry
+// hot path (histogram record/quantile and the flight-recorder interval
+// snapshot), the RMAT graph build, the DRAM channel loop, and the tsim
+// end-to-end throughput, single-benchmark and 4-core co-run — and emits
+// one machine-readable JSON artifact. The BENCH_*.json files in the repo
+// root are earlier artifacts; CI regenerates the artifact on every push
+// and uploads it for trend inspection.
 //
 // Each run also diffs itself against the newest committed BENCH_*.json
 // (override with -baseline): the artifact's "deltas" list carries the
@@ -39,7 +39,7 @@ var suites = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue)$"},
+	{"./internal/sim", "^(BenchmarkEngineTickPrebound|BenchmarkEngineTickClosure|BenchmarkEngineMixedQueue|BenchmarkEngineZeroDelayMix)$"},
 	{"./internal/metrics", "^(BenchmarkHistObserve|BenchmarkHistQuantile|BenchmarkFlightRecord)$"},
 	{"./internal/stats", "^BenchmarkFlightRecordSet$"},
 	{"./internal/workload", "^BenchmarkRMATBuild$"},

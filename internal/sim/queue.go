@@ -1,7 +1,10 @@
 package sim
 
-// This file is the engine's event queue: a monomorphic four-ary min-heap
-// ordered by (time, seq) operating directly on an []event. It replaces the
+// This file is the engine's event heap: a monomorphic four-ary min-heap
+// ordered by (time, seq) operating directly on an []event. It holds the
+// events scheduled for a later time; events scheduled at the current time
+// skip it and wait in the engine's FIFO now-lane (see Engine.lane), so
+// the engine's pending set is heap + now-lane. The heap replaced the
 // original container/heap binary heap, which paid an interface-boxing
 // allocation on every Push(x interface{}) plus dynamic dispatch for every
 // Less/Swap. The four-ary layout was chosen by benchmark (see DESIGN.md
@@ -11,8 +14,9 @@ package sim
 //
 // The (time, seq) order is total and strict, so the heap's pop order is
 // exactly the old heap's pop order: FIFO among equal timestamps is carried
-// by seq alone and does not depend on heap shape. The parity test in
-// queue_test.go pins this against a container/heap reference.
+// by seq alone and does not depend on heap shape. The parity tests in
+// queue_test.go pin this, and the engine's heap + now-lane run order,
+// against a container/heap reference.
 
 // event is one scheduled callback, call(arg). With a package-level (or
 // otherwise prebound) func and a pointer-shaped arg, scheduling allocates
@@ -51,26 +55,35 @@ func (q *eventQueue) len() int { return len(q.ev) }
 // valid until the next push or pop. Callers must check len() > 0 first.
 func (q *eventQueue) peek() *event { return &q.ev[0] }
 
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
+// push adds call(arg) at (at, seq). It takes the fields, not an event:
+// at 40 B an event is too large for the compiler to keep in registers, so
+// an event literal is assembled on the stack in 8-byte stores and then
+// copied in 16-byte loads, which store forwarding cannot serve. In a tsim
+// profile that stall was the hottest instruction of AtCall.
+func (q *eventQueue) push(at Time, seq uint64, call func(any), arg any) {
+	q.ev = append(q.ev, event{})
 	// Inlined sift-up with a moving hole: the new event is only written
 	// once, at its final position.
 	ev := q.ev
+	key := event{at: at, seq: seq}
 	i := len(ev) - 1
 	for i > 0 {
 		p := (i - 1) / arity
-		if !e.before(&ev[p]) {
+		if !key.before(&ev[p]) {
 			break
 		}
 		ev[i] = ev[p]
 		i = p
 	}
-	ev[i] = e
+	s := &ev[i]
+	s.at, s.seq, s.call, s.arg = at, seq, call, arg
 }
 
-func (q *eventQueue) pop() event {
+// pop removes the minimum event and returns its time and callback as
+// fields, for the same reason push takes them.
+func (q *eventQueue) pop() (at Time, call func(any), arg any) {
 	ev := q.ev
-	top := ev[0]
+	at, call, arg = ev[0].at, ev[0].call, ev[0].arg
 	n := len(ev) - 1
 	e := ev[n]
 	// Zero the vacated tail slot so the backing array does not retain the
@@ -104,5 +117,5 @@ func (q *eventQueue) pop() event {
 		}
 		ev[i] = e
 	}
-	return top
+	return at, call, arg
 }

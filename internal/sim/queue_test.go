@@ -58,29 +58,36 @@ func TestQueueParityWithLegacyHeap(t *testing.T) {
 				seq++
 				id++
 				capturedID := id
-				q.push(event{at: at, seq: seq, call: func(any) {}, arg: capturedID})
+				q.push(at, seq, nil, seq)
 				heap.Push(&ref, legacyEvent{at: at, seq: seq, id: capturedID})
 			} else {
-				got := q.pop()
+				gotAt, gotSeq := popSeq(&q)
 				want := heap.Pop(&ref).(legacyEvent)
-				if got.at != want.at || got.seq != want.seq {
+				if gotAt != want.at || gotSeq != want.seq {
 					t.Fatalf("seed %d op %d: popped (at=%d seq=%d), reference popped (at=%d seq=%d)",
-						seed, op, got.at, got.seq, want.at, want.seq)
+						seed, op, gotAt, gotSeq, want.at, want.seq)
 				}
 			}
 		}
 		for q.len() > 0 {
-			got := q.pop()
+			gotAt, gotSeq := popSeq(&q)
 			want := heap.Pop(&ref).(legacyEvent)
-			if got.at != want.at || got.seq != want.seq {
+			if gotAt != want.at || gotSeq != want.seq {
 				t.Fatalf("seed %d drain: popped (at=%d seq=%d), reference popped (at=%d seq=%d)",
-					seed, got.at, got.seq, want.at, want.seq)
+					seed, gotAt, gotSeq, want.at, want.seq)
 			}
 		}
 		if ref.Len() != 0 {
 			t.Fatalf("seed %d: reference has %d events left after queue drained", seed, ref.Len())
 		}
 	}
+}
+
+// popSeq pops q's minimum event; the queue tests push each event with its
+// seq as the argument, so the pop order can be checked by seq.
+func popSeq(q *eventQueue) (Time, uint64) {
+	at, _, arg := q.pop()
+	return at, arg.(uint64)
 }
 
 // TestQueueFIFOAmongEqualTimestamps is the direct property: across
@@ -100,9 +107,10 @@ func TestQueueFIFOAmongEqualTimestamps(t *testing.T) {
 				// tiny offset range forces heavy timestamp ties.
 				at := lastTime + Time(rng.Intn(8))
 				seq++
-				q.push(event{at: at, seq: seq})
+				q.push(at, seq, nil, seq)
 			} else {
-				e := q.pop()
+				var e legacyEvent
+				e.at, e.seq = popSeq(&q)
 				if !first && e.at < lastTime {
 					t.Fatalf("seed %d: time went backwards: %d after %d", seed, e.at, lastTime)
 				}
@@ -195,6 +203,155 @@ func TestEngineParityOldVsNew(t *testing.T) {
 	}
 }
 
+// legacyEngine is the reference scheduler for the lane parity test: every
+// event, whatever its delay, goes through the container/heap reference, so
+// its run order is (at, seq) by construction. Every and RunUntil follow the
+// Engine's documented semantics.
+type legacyEngine struct {
+	h     legacyHeap
+	now   Time
+	seq   uint64
+	ticks int
+	fns   map[uint64]func()
+}
+
+func (l *legacyEngine) Now() Time    { return l.now }
+func (l *legacyEngine) Pending() int { return l.h.Len() }
+
+func (l *legacyEngine) At(t Time, fn func()) {
+	if t < l.now {
+		panic("legacy: event scheduled in the past")
+	}
+	l.seq++
+	l.fns[l.seq] = fn
+	heap.Push(&l.h, legacyEvent{at: t, seq: l.seq})
+}
+
+func (l *legacyEngine) Every(period Time, fn func(now Time)) {
+	var tick func()
+	tick = func() {
+		l.ticks--
+		fn(l.now)
+		if l.Pending() > l.ticks {
+			l.ticks++
+			l.At(l.now+period, tick)
+		}
+	}
+	l.ticks++
+	l.At(l.now+period, tick)
+}
+
+func (l *legacyEngine) RunUntil(t Time) {
+	for l.h.Len() > 0 && l.h[0].at <= t {
+		ev := heap.Pop(&l.h).(legacyEvent)
+		l.now = ev.at
+		fn := l.fns[ev.seq]
+		delete(l.fns, ev.seq)
+		fn()
+	}
+	if l.now < t {
+		l.now = t
+	}
+}
+
+func (l *legacyEngine) RunFor(d Time) { l.RunUntil(l.now + d) }
+func (l *legacyEngine) Run()          { l.RunUntil(maxTime) }
+
+// scheduler is the surface the lane parity workload drives; *Engine and
+// *legacyEngine both provide it.
+type scheduler interface {
+	Now() Time
+	Pending() int
+	At(t Time, fn func())
+	Every(period Time, fn func(now Time))
+	RunUntil(t Time)
+	RunFor(d Time)
+	Run()
+}
+
+// TestLaneParityWithLegacyHeap drives the engine, whose zero-delay events
+// go through the now-lane, and the all-heap reference with one randomized
+// workload, and requires identical (at, id, pending) traces step by step.
+// Half of all pushes are zero-delay; positive delays are short, so heap
+// events stamped now regularly coexist with lane events, and running the
+// lane first would reorder them. The workload also schedules from outside
+// Run between RunUntil/RunFor calls, and two Every tickers run throughout.
+func TestLaneParityWithLegacyHeap(t *testing.T) {
+	type rec struct {
+		at      Time
+		id      int
+		pending int
+	}
+	run := func(seed int64, s scheduler) (trace []rec, pushes, zero int) {
+		rng := rand.New(rand.NewSource(seed))
+		id := 0
+		var schedule func(d Time)
+		schedule = func(d Time) {
+			pushes++
+			if d == 0 {
+				zero++
+			}
+			id++
+			me := id
+			s.At(s.Now()+d, func() {
+				trace = append(trace, rec{s.Now(), me, s.Pending()})
+				if len(trace) < 4000 {
+					for n := rng.Intn(3); n > 0; n-- {
+						schedule(randDelay(rng))
+					}
+				}
+			})
+		}
+		s.Every(7, func(now Time) { trace = append(trace, rec{now, -1, s.Pending()}) })
+		s.Every(13, func(now Time) { trace = append(trace, rec{now, -2, s.Pending()}) })
+		for round := 0; round < 60; round++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				schedule(randDelay(rng))
+			}
+			trace = append(trace, rec{s.Now(), 0, s.Pending()}) // marks the outside call
+			// A negative d asks for a time already passed: nothing may
+			// run, not even the zero-delay events just scheduled.
+			if d := Time(rng.Intn(25) - 3); round%2 == 0 {
+				s.RunFor(d)
+			} else {
+				s.RunUntil(s.Now() + d)
+			}
+		}
+		s.Run()
+		if s.Pending() != 0 {
+			t.Fatalf("seed %d: %d events pending after Run", seed, s.Pending())
+		}
+		return trace, pushes, zero
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		want, _, _ := run(seed, &legacyEngine{fns: map[uint64]func(){}})
+		got, pushes, zero := run(seed, New())
+		if 10*zero < 4*pushes {
+			t.Fatalf("seed %d: only %d of %d pushes are zero-delay, want >= 40%%", seed, zero, pushes)
+		}
+		for i := range want {
+			if i >= len(got) {
+				t.Fatalf("seed %d: engine stopped after %d steps, reference ran %d", seed, len(got), len(want))
+			}
+			if got[i] != want[i] {
+				t.Fatalf("seed %d step %d: engine ran %+v, reference ran %+v", seed, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: engine ran %d steps, reference ran %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// randDelay is the lane parity workload's delay mix: zero half the time,
+// otherwise 1..20 ps, so timestamps collide often.
+func randDelay(rng *rand.Rand) Time {
+	if rng.Intn(2) == 0 {
+		return 0
+	}
+	return Time(1 + rng.Intn(20))
+}
+
 // tickState is the prebound-callback workload for the allocation tests.
 type tickState struct {
 	eng  *Engine
@@ -251,6 +408,41 @@ func TestSelfReschedulingTickZeroAllocs(t *testing.T) {
 	}
 }
 
+// zeroTickCB re-arms s at zero delay while s.left lasts.
+func zeroTickCB(x any) {
+	s := x.(*tickState)
+	s.n++
+	if s.left > 0 {
+		s.left--
+		s.eng.AfterCall(0, zeroTickCB, s)
+	}
+}
+
+// TestZeroDelayChainZeroAllocs pins the now-lane's steady state: a
+// self-re-arming AfterCall(0, …) chain runs entirely from the lane (the
+// heap's backing array is never touched) and allocates nothing once the
+// lane has reached its high-water mark.
+func TestZeroDelayChainZeroAllocs(t *testing.T) {
+	e := New()
+	s := &tickState{eng: e, left: 64}
+	e.AfterCall(0, zeroTickCB, s)
+	e.Run() // warm
+	allocs := testing.AllocsPerRun(100, func() {
+		s.left = 50
+		e.AfterCall(0, zeroTickCB, s)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("zero-delay chain allocated %.1f times per run, want 0", allocs)
+	}
+	if cap(e.q.ev) != 0 {
+		t.Fatalf("zero-delay chain used the heap (cap %d), want the lane only", cap(e.q.ev))
+	}
+	if e.Now() != 0 {
+		t.Fatalf("zero-delay chain moved the clock to %d", e.Now())
+	}
+}
+
 // TestAtCallRejectsPast mirrors the At contract for the prebound form.
 func TestAtCallRejectsPast(t *testing.T) {
 	e := New()
@@ -269,14 +461,31 @@ func TestAtCallRejectsPast(t *testing.T) {
 // backing array does not pin callbacks or args after execution.
 func TestPopReleasesReferences(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 1, seq: 1, call: tickCB, arg: &tickState{}})
-	q.push(event{at: 2, seq: 2, call: tickCB, arg: &tickState{}})
+	q.push(1, 1, tickCB, &tickState{})
+	q.push(2, 2, tickCB, &tickState{})
 	q.pop()
 	q.pop()
 	tail := q.ev[:2]
 	for i, e := range tail {
 		if e.call != nil || e.arg != nil {
 			t.Fatalf("slot %d retains references after pop: %+v", i, e)
+		}
+	}
+}
+
+// TestLaneReleasesReferences is TestPopReleasesReferences for the
+// now-lane: drained lane slots keep no callback or argument.
+func TestLaneReleasesReferences(t *testing.T) {
+	e := New()
+	e.AtCall(0, tickCB, &tickState{})
+	e.AtCall(0, tickCB, &tickState{})
+	e.Run()
+	if e.Pending() != 0 || len(e.lane) != 0 {
+		t.Fatalf("lane not drained: pending %d, len %d", e.Pending(), len(e.lane))
+	}
+	for i, ev := range e.lane[:2] {
+		if ev.call != nil || ev.arg != nil {
+			t.Fatalf("lane slot %d retains references after running: %+v", i, ev)
 		}
 	}
 }
@@ -340,6 +549,43 @@ func BenchmarkEngineMixedQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = r*6364136223846793005 + 1
 		e.AtCall(e.Now()+Time(r%4096)+1, tickCB, s)
-		e.step()
+		e.step(maxTime)
 	}
+}
+
+// mixState is one chain of BenchmarkEngineZeroDelayMix.
+type mixState struct {
+	eng  *Engine
+	r    uint64
+	left *int
+}
+
+// mixCB re-arms its chain at zero delay or at a short positive delay
+// (1..64 ps), each half the time.
+func mixCB(x any) {
+	s := x.(*mixState)
+	if *s.left <= 0 {
+		return
+	}
+	*s.left--
+	s.r = s.r*6364136223846793005 + 1442695040888963407
+	d := Time(0)
+	if s.r>>63 != 0 {
+		d = Time(s.r>>32%64) + 1
+	}
+	s.eng.AfterCall(d, mixCB, s)
+}
+
+// BenchmarkEngineZeroDelayMix is the tsim-resident event mix: four
+// chains, one per simulated core, re-arming about half the time at zero
+// delay (a core stepping again after a completion) and otherwise a few
+// picoseconds ahead. One op is one event.
+func BenchmarkEngineZeroDelayMix(b *testing.B) {
+	b.ReportAllocs()
+	e := New()
+	left := b.N
+	for i := 0; i < 4; i++ {
+		e.AtCall(0, mixCB, &mixState{eng: e, r: uint64(i + 1), left: &left})
+	}
+	e.Run()
 }

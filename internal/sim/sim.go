@@ -2,12 +2,14 @@
 // every timing model in this repository.
 //
 // The engine keeps a monotonically increasing clock in integer picoseconds
-// and a four-ary min-heap of pending events (queue.go). Components
-// schedule closures with At/After, or — on hot paths — prebound callbacks
-// with AtCall/AfterCall, which allocate nothing in steady state. Every
-// event stores one callback form, fn(arg); At/After wrap their closure. Run
-// drains the heap in timestamp order (FIFO among equal timestamps, which
-// keeps simulations deterministic).
+// and two stores of pending events: a four-ary min-heap (queue.go) for
+// events in the future, and a FIFO lane for events scheduled at the
+// current time, which need no sifting. Components schedule closures with
+// At/After, or — on hot paths — prebound callbacks with AtCall/AfterCall,
+// which allocate nothing in steady state. Every event stores one callback
+// form, fn(arg); At/After wrap their closure. Run executes events in
+// (timestamp, schedule order), FIFO among equal timestamps, which keeps
+// simulations deterministic.
 package sim
 
 import (
@@ -43,9 +45,17 @@ func (t Time) Nanoseconds() float64 { return float64(t) / 1000 }
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use.
 type Engine struct {
-	now   Time
-	seq   uint64
-	q     eventQueue
+	now Time
+	seq uint64
+	q   eventQueue
+	// lane[head:] are the pending events scheduled at now, in seq order.
+	// Every heap event stamped now was pushed before the clock reached
+	// now, so it precedes every lane event: the run loop drains the
+	// heap's now events, then the lane, and only then advances the clock.
+	// The lane resets to [:0] whenever it drains, so its backing array
+	// never outgrows the most events one timestamp has scheduled.
+	lane  []event
+	head  int
 	steps uint64
 	// ticks counts currently-scheduled Every events, so tickers judge
 	// liveness against real work instead of each other (see Every).
@@ -78,7 +88,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending reports the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return e.q.len() + len(e.lane) - e.head }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a modelling bug.
@@ -96,16 +106,24 @@ func runClosure(fn any) { fn.(func())() }
 // AtCall schedules fn(arg) to run at absolute time t. With fn a
 // package-level function (or any func value that outlives the schedule)
 // and arg a pointer, the call allocates nothing: the event is written
-// directly into the queue's backing array and the pointer rides in the
-// interface word. This is the steady-state form for the simulators'
-// recurring events (core issue ticks, cache wakeups, DRAM scheduling).
+// directly into the backing array of the heap, or of the FIFO lane when
+// t is the current time, and the pointer rides in the interface word.
+// This is the steady-state form for the simulators' recurring events
+// (core issue ticks, cache wakeups, DRAM scheduling).
 // Scheduling in the past panics, as with At.
 func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, call: fn, arg: arg})
+	if t == e.now {
+		// Written field by field, as eventQueue.push does (see there).
+		e.lane = append(e.lane, event{})
+		s := &e.lane[len(e.lane)-1]
+		s.at, s.seq, s.call, s.arg = t, e.seq, fn, arg
+		return
+	}
+	e.q.push(t, e.seq, fn, arg)
 }
 
 // After schedules fn to run d picoseconds from now. Negative delays panic.
@@ -142,16 +160,17 @@ func (e *Engine) Every(period Time, fn func(now Time)) {
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for e.q.len() > 0 {
-		e.step()
+	for e.step(maxTime) {
 	}
 }
+
+// maxTime is the latest representable Time: Run's horizon.
+const maxTime = Time(1<<63 - 1)
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for e.q.len() > 0 && e.peek().at <= t {
-		e.step()
+	for e.step(t) {
 	}
 	if e.now < t {
 		e.now = t
@@ -161,17 +180,37 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for d picoseconds of simulated time from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// peek is the single seam through which the run loops inspect the next
-// event; the queue implementation can change behind it. Callers must
-// check Pending() > 0 first.
-func (e *Engine) peek() *event { return e.q.peek() }
-
-func (e *Engine) step() {
-	ev := e.q.pop()
-	if rec := e.rec; rec != nil && rec.On() && ev.at < e.now {
-		rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", ev.at, e.now)
+// step executes the next event in (at, seq) order if its timestamp is
+// <= t, and reports whether it did. It chooses the source once: heap
+// events stamped now (or, through a bug, earlier) first, then the lane,
+// and otherwise the heap's minimum, which advances the clock.
+func (e *Engine) step(t Time) bool {
+	var at Time
+	var call func(any)
+	var arg any
+	if e.head < len(e.lane) && (e.q.len() == 0 || e.q.peek().at > e.now) {
+		if e.now > t {
+			return false
+		}
+		s := &e.lane[e.head]
+		at, call, arg = s.at, s.call, s.arg
+		// Zero the consumed slot so the lane does not retain the callback
+		// and argument past the event's execution.
+		*s = event{}
+		if e.head++; e.head == len(e.lane) {
+			e.lane, e.head = e.lane[:0], 0
+		}
+	} else {
+		if e.q.len() == 0 || e.q.peek().at > t {
+			return false
+		}
+		at, call, arg = e.q.pop()
 	}
-	e.now = ev.at
+	if rec := e.rec; rec != nil && rec.On() && at < e.now {
+		rec.Failf("sim", "clock moved backwards: event at %d ps popped at now=%d ps", at, e.now)
+	}
+	e.now = at
 	e.steps++
-	ev.call(ev.arg)
+	call(arg)
+	return true
 }
